@@ -8,7 +8,7 @@
 //	roaserve -addr :8092 -preset paper -workers 8 -batch-size 16
 //	roaserve -addr 127.0.0.1:0 -addr-file /tmp/roaserve.addr   # scripts
 //	roaserve -addr :8092 -metrics-addr :8093 -trace spans.jsonl
-//	roaserve -addr :8092 -preset paper -warm -search coarse   # fast serving
+//	roaserve -addr :8092 -preset paper -search exact          # cross-checked search
 //	roaserve -addr :8092 -venues venues.json -shards 4        # multi-venue
 //	roaserve -addr :8090 -proxy -backends 127.0.0.1:8092,127.0.0.1:8093
 //
@@ -93,7 +93,6 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) error {
 	eventsFile := fs.String("events", "", "write one wide JSON request event per completed request to this file")
 	sloLatencyMs := fs.Float64("slo-latency-ms", 0, "SLO latency objective in milliseconds (0 = preset default)")
 	sloTarget := fs.Float64("slo-target", 0, "SLO attainment target in (0,1) (0 = preset default)")
-	warm := fs.Bool("warm", false, "warm-start solvers from the previous packet's iterates and use Kronecker-factored matvecs (same positions, fewer iterations)")
 	search := fs.String("search", "", "grid-search strategy override: coarse, flat, or exact (empty keeps the engine default)")
 	diagDir := fs.String("diag-dir", "", "write anomaly-triggered diagnostic bundles under this directory (empty disables the trigger engine)")
 	diagMaxBundles := fs.Int("diag-max-bundles", 8, "bundles retained in -diag-dir before oldest-first eviction")
@@ -144,13 +143,12 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) error {
 		}
 		venues = venue.NewRegistry(man, venue.RegistryConfig{
 			BudgetBytes: *venueBudgetKB * 1024,
-			Build:       venue.BuildConfig{Workers: w, Warm: *warm, Metrics: reg},
+			Build:       venue.BuildConfig{Workers: w, Metrics: reg},
 			Metrics:     reg,
 		})
 	} else {
 		cfg := ps.Estimator
 		cfg.Metrics = reg
-		cfg.Warm = *warm
 		if searchCfg != nil {
 			cfg.Search = *searchCfg
 		}

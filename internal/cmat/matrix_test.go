@@ -45,6 +45,35 @@ func TestNewAndAccessors(t *testing.T) {
 	}
 }
 
+// TestRowViewBounds pins RowView's contract: the view aliases row i only
+// (capacity included, so an append cannot clobber row i+1), and an
+// out-of-range row panics.
+func TestRowViewBounds(t *testing.T) {
+	m := New(3, 2)
+	v := m.RowView(1)
+	if len(v) != 2 || cap(v) != 2 {
+		t.Fatalf("view len/cap %d/%d, want 2/2", len(v), cap(v))
+	}
+	v[1] = 5i
+	if m.At(1, 1) != 5i {
+		t.Fatal("write through the view did not reach the matrix")
+	}
+	_ = append(v, 7)
+	if m.At(2, 0) != 0 {
+		t.Fatal("append to a row view clobbered the next row")
+	}
+	for _, i := range []int{-1, 3} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("RowView(%d) on a 3-row matrix did not panic", i)
+				}
+			}()
+			m.RowView(i)
+		}()
+	}
+}
+
 func TestFromRows(t *testing.T) {
 	m, err := FromRows([][]complex128{{1, 2}, {3, 4}})
 	if err != nil {

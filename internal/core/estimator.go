@@ -47,15 +47,6 @@ type Config struct {
 	// SolverOptions are passed to the underlying sparse solvers (method,
 	// iteration caps, hooks, ...).
 	SolverOptions []sparse.Option
-	// Warm enables warm-started solving: per-dictionary caches seed each
-	// solve from the most recent solution of the same shape (the previous
-	// packet of a burst, or a micro-batch neighbor on the serving path), and
-	// a spectrum-stability early stop (sparse.WithSpectrumStop, prepended to
-	// SolverOptions so explicit options still win) converts the good seed
-	// into saved iterations. Warm solves can end at different iterates than
-	// cold ones (within solver tolerance), so the bit-reproducible
-	// evaluation pipeline leaves this off; the serving path turns it on.
-	Warm bool
 	// Search tunes the Eq. 19 localization grid search (see SearchConfig).
 	// The zero value selects the coarse-to-fine strategy, which is
 	// bit-identical to the flat scan by construction.
@@ -141,40 +132,6 @@ type Estimator struct {
 	jointFBOnce sync.Once
 	jointFB     *sparse.Solver
 	jointFBErr  error
-
-	// Per-dictionary warm-start caches (Config.Warm), keyed by snapshot
-	// count: solves of the same shape against the same dictionary seed each
-	// other. Each lives alongside the solver cache it accelerates.
-	aoaWarm   warmSlot
-	jointWarm warmSlot
-}
-
-// warmSlot is a concurrency-safe cache of the most recent solver state per
-// measurement shape (snapshot count). take hands out an independent clone so
-// the solver can mutate it lock-free; put installs the updated state with
-// last-writer-wins semantics — under concurrency any recent state is an
-// equally good seed, correctness never depends on which one survives.
-type warmSlot struct {
-	mu  sync.Mutex
-	byK map[int]*sparse.WarmState
-}
-
-func (s *warmSlot) take(k int) *sparse.WarmState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ws := s.byK[k]; ws != nil {
-		return ws.Clone()
-	}
-	return &sparse.WarmState{}
-}
-
-func (s *warmSlot) put(k int, ws *sparse.WarmState) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.byK == nil {
-		s.byK = make(map[int]*sparse.WarmState)
-	}
-	s.byK[k] = ws
 }
 
 // estimatorMetrics caches the estimator's metric handles, resolved once at
@@ -189,10 +146,6 @@ type estimatorMetrics struct {
 	fallbackEngaged *obs.Counter // primary solve failed/non-converged, chain entered
 	fallbackFISTA   *obs.Counter // FISTA retry converged and was used
 	fallbackOMP     *obs.Counter // greedy OMP terminal fallback was used
-
-	warmEngaged   *obs.Counter // solves seeded from a cached warm state
-	warmIterSaved *obs.Counter // iterations saved vs the solver's cap
-	warmRejected  *obs.Counter // seeds that lost to the cold start's objective
 }
 
 func newEstimatorMetrics(reg *obs.Registry) *estimatorMetrics {
@@ -206,9 +159,6 @@ func newEstimatorMetrics(reg *obs.Registry) *estimatorMetrics {
 		fallbackEngaged: reg.Counter("core.solve.fallback_engaged_total"),
 		fallbackFISTA:   reg.Counter("core.solve.fallback_fista_total"),
 		fallbackOMP:     reg.Counter("core.solve.fallback_omp_total"),
-		warmEngaged:     reg.Counter("core.warmstart.engaged_total"),
-		warmIterSaved:   reg.Counter("core.warmstart.iter_saved"),
-		warmRejected:    reg.Counter("core.warmstart.rejected_total"),
 	}
 }
 
@@ -222,15 +172,6 @@ func NewEstimator(cfg Config) (*Estimator, error) {
 	if len(full.ThetaGrid) == 0 || len(full.TauGrid) == 0 {
 		return nil, fmt.Errorf("core: empty estimation grids")
 	}
-	if full.Warm {
-		// Prepend the spectrum-stability stop so explicit caller options can
-		// still override it. Without an early stop a warm seed changes which
-		// iterate a capped solve ends at but not how long it runs; with it,
-		// a seed near the solution ends the solve within a few iterations.
-		opts := make([]sparse.Option, 0, len(full.SolverOptions)+1)
-		opts = append(opts, sparse.WithSpectrumStop(warmSpecTol, warmSpecPatience))
-		full.SolverOptions = append(opts, full.SolverOptions...)
-	}
 	if full.Metrics != nil {
 		// Thread the registry into the sparse solvers without mutating the
 		// caller's option slice.
@@ -240,16 +181,6 @@ func NewEstimator(cfg Config) (*Estimator, error) {
 	}
 	return &Estimator{cfg: full, met: newEstimatorMetrics(full.Metrics)}, nil
 }
-
-// Warm-mode spectrum-stop defaults: the solve ends once the magnitude
-// spectrum has moved by less than 0.01% (relative l2) for 3 consecutive
-// iterations — far tighter than the grid quantization downstream peak
-// detection imposes, and loose enough to convert warm seeds into large
-// iteration savings.
-const (
-	warmSpecTol      = 1e-4
-	warmSpecPatience = 3
-)
 
 // Config returns the effective (default-filled) configuration.
 func (e *Estimator) Config() Config { return e.cfg }
@@ -272,7 +203,7 @@ func (e *Estimator) Warmup() error {
 // FootprintBytes estimates the resident size of the estimator's heavy state:
 // the AoA dictionary (M x Ntheta), the joint space-delay dictionary
 // (M*L x Ntheta*Ntau), the ADMM Cholesky factors over both Gram shapes, and
-// — in warm mode — the Kronecker factor pair. Complex128 entries are 16
+// the joint dictionary's Kronecker factor pair. Complex128 entries are 16
 // bytes. The joint dictionary term dominates at paper dimensions (90 x 3 x
 // 30 x 50 columns ~ 580 MB would be absurd; real venues run reduced grids),
 // which is exactly why a venue cache must budget on these bytes rather than
@@ -286,9 +217,7 @@ func (e *Estimator) FootprintBytes() int64 {
 	ml := m * l
 	b := m*nth*c + ml*nth*ntu*c // AoA + joint dictionaries
 	b += m*m*c + ml*ml*c        // ADMM Cholesky factors (rho I + A Aᴴ)
-	if e.cfg.Warm {
-		b += l*ntu*c + m*nth*c // Kronecker delay/AoA factor pair
-	}
+	b += l*ntu*c + m*nth*c      // Kronecker delay/AoA factor pair
 	return b
 }
 
@@ -321,8 +250,8 @@ func BuildJointDictionary(arr wireless.Array, ofdm wireless.OFDM, thetaGrid, tau
 // one column g(tau_t) = [1, Gamma, ..., Gamma^{L-1}]ᵀ per grid delay, size
 // L x Ntau. Together with BuildAoADictionary it forms the Kronecker
 // factorization of BuildJointDictionary — entry ((l*M+m), (t*Ntheta+i)) of
-// the joint dictionary is g(tau_t)[l] * s(theta_i)[m] — which the sparse
-// solver exploits via sparse.WithKronecker on the warm serving path.
+// the joint dictionary is g(tau_t)[l] * s(theta_i)[m] — which every joint
+// solver exploits via sparse.WithKronecker.
 func BuildDelayDictionary(ofdm wireless.OFDM, tauGrid []float64) *cmat.Matrix {
 	d := cmat.New(ofdm.NumSubcarriers, len(tauGrid))
 	col := make([]complex128, ofdm.NumSubcarriers)
@@ -354,22 +283,23 @@ func (e *Estimator) getJointSolver() (*sparse.Solver, error) {
 	e.jointOnce.Do(func() {
 		built = true
 		dict := BuildJointDictionary(e.cfg.Array, e.cfg.OFDM, e.cfg.ThetaGrid, e.cfg.TauGrid)
-		opts := e.cfg.SolverOptions
-		if e.cfg.Warm {
-			// Warm mode declares the joint dictionary's Kronecker structure so
-			// the solver iterates on the small delay and AoA factors (~18x
-			// fewer multiplies per matvec at the paper's dimensions). Appended
-			// locally — never into cfg.SolverOptions, which the AoA solver
-			// shares and whose dictionary has no such factorization.
-			opts = append(opts[:len(opts):len(opts)],
-				sparse.WithKronecker(
-					BuildDelayDictionary(e.cfg.OFDM, e.cfg.TauGrid),
-					BuildAoADictionary(e.cfg.Array, e.cfg.ThetaGrid)))
-		}
-		e.jointSolver, e.jointErr = sparse.NewSolver(dict, opts...)
+		e.jointSolver, e.jointErr = sparse.NewSolver(dict, e.jointOptions(e.cfg.SolverOptions)...)
 	})
 	e.recordDictAccess(built)
 	return e.jointSolver, e.jointErr
+}
+
+// jointOptions appends the joint dictionary's Kronecker structure to opts, so
+// the solver iterates on the small delay and AoA factors (~18x fewer
+// multiplies per matvec at the paper's dimensions) and builds its ADMM system
+// from the factors' Grams. The result is a fresh slice — never
+// cfg.SolverOptions, which the AoA solver shares and whose dictionary has no
+// such factorization.
+func (e *Estimator) jointOptions(opts []sparse.Option) []sparse.Option {
+	return append(opts[:len(opts):len(opts)],
+		sparse.WithKronecker(
+			BuildDelayDictionary(e.cfg.OFDM, e.cfg.TauGrid),
+			BuildAoADictionary(e.cfg.Array, e.cfg.ThetaGrid)))
 }
 
 // recordDictAccess counts a dictionary/factorization access: a build the
@@ -396,7 +326,7 @@ func (e *Estimator) recordDictAccess(built bool) {
 // bit-identical legacy behavior. The returned stage names the fallback stage
 // the accepted result came from ("" = primary); together with the result it
 // feeds the SolveInfo that rides each LinkResult.
-func (e *Estimator) timedSolve(ctx context.Context, solver *sparse.Solver, fb func() (*sparse.Solver, error), slot *warmSlot, y *cmat.Matrix, kappa float64) (*sparse.Result, string, error) {
+func (e *Estimator) timedSolve(ctx context.Context, solver *sparse.Solver, fb func() (*sparse.Solver, error), y *cmat.Matrix, kappa float64) (*sparse.Result, string, error) {
 	// Stage-boundary cancellation: a dead context skips the solve entirely.
 	// (The solver's iteration loop itself is not interruptible; the worst
 	// post-cancel overrun is one solve.)
@@ -408,35 +338,11 @@ func (e *Estimator) timedSolve(ctx context.Context, solver *sparse.Solver, fb fu
 	if e.met != nil {
 		t0 = time.Now()
 	}
-	var res *sparse.Result
-	var err error
-	if e.cfg.Warm && slot != nil {
-		// Seed from (a clone of) the cached state for this shape and publish
-		// the updated state back for the next solve on this dictionary.
-		k := y.Cols()
-		ws := slot.take(k)
-		res, err = solver.SolveMultiWarm(y, kappa, ws)
-		if err == nil {
-			slot.put(k, ws)
-		}
-	} else {
-		res, err = solver.SolveMulti(y, kappa)
-	}
+	res, err := solver.SolveMulti(y, kappa)
 	if e.met != nil {
 		// The latency exemplar ties this solve's bucket to the request that
 		// exercised it — an empty id (untagged caller) records plainly.
 		e.met.solveSeconds.ObserveExemplar(time.Since(t0).Seconds(), obs.RequestIDFrom(ctx))
-		if err == nil {
-			if res.Warm {
-				e.met.warmEngaged.Inc()
-				if saved := solver.MaxIters() - res.Iterations; saved > 0 {
-					e.met.warmIterSaved.Add(int64(saved))
-				}
-			}
-			if res.WarmRejected {
-				e.met.warmRejected.Inc()
-			}
-		}
 	}
 	sp.End()
 	if !e.cfg.Fallback || (err == nil && res.Converged) {
@@ -525,11 +431,11 @@ func (e *Estimator) aoaFallback(primary *sparse.Solver) func() (*sparse.Solver, 
 }
 
 // jointFallback lazily builds the FISTA retry solver over the joint
-// space-delay dictionary.
+// space-delay dictionary, with the same Kronecker structure as the primary.
 func (e *Estimator) jointFallback(primary *sparse.Solver) func() (*sparse.Solver, error) {
 	return func() (*sparse.Solver, error) {
 		e.jointFBOnce.Do(func() {
-			e.jointFB, e.jointFBErr = sparse.NewSolver(primary.Dict(), e.fallbackOptions()...)
+			e.jointFB, e.jointFBErr = sparse.NewSolver(primary.Dict(), e.jointOptions(e.fallbackOptions())...)
 		})
 		return e.jointFB, e.jointFBErr
 	}
@@ -592,7 +498,7 @@ func (e *Estimator) EstimateAoACtx(ctx context.Context, csi *wireless.CSI) (*spe
 		}
 	}
 	kappa := kappaFor(solver, y, e.cfg.KappaRatio)
-	res, _, err := e.timedSolve(ctx, solver, e.aoaFallback(solver), &e.aoaWarm, y, kappa)
+	res, _, err := e.timedSolve(ctx, solver, e.aoaFallback(solver), y, kappa)
 	if err != nil {
 		return nil, fmt.Errorf("core: AoA solve: %w", err)
 	}
@@ -680,7 +586,7 @@ func (e *Estimator) estimateJointBlock(ctx context.Context, packets []*wireless.
 		spf.End()
 	}
 	kappa := kappaFor(solver, y, e.cfg.KappaRatio)
-	res, stage, err := e.timedSolve(ctx, solver, e.jointFallback(solver), &e.jointWarm, y, kappa)
+	res, stage, err := e.timedSolve(ctx, solver, e.jointFallback(solver), y, kappa)
 	if err != nil {
 		return nil, SolveInfo{}, fmt.Errorf("core: joint solve: %w", err)
 	}

@@ -29,14 +29,6 @@ type BatchBenchResult struct {
 	Speedup         float64 `json:"speedup"`
 	MedianErrM      float64 `json:"medianErrM"`
 	Identical       bool    `json:"identical"`
-	// Warm-leg fields, present when Options.Warm added the warm-started
-	// serving leg: its per-request latency, its speedup over the cold
-	// parallel leg, and the cold parallel median error for comparison
-	// against MedianErrM (which then reports the warm leg).
-	Warm           bool    `json:"warm,omitempty"`
-	WarmNsPerOp    int64   `json:"warmNsPerOp,omitempty"`
-	WarmSpeedup    float64 `json:"warmSpeedup,omitempty"`
-	ColdMedianErrM float64 `json:"coldMedianErrM,omitempty"`
 	// Metrics is the observability registry snapshot taken after the runs,
 	// present when Options.Metrics is set: solver iteration and latency
 	// histograms, dictionary cache hits, convergence failures.
@@ -75,17 +67,7 @@ func RunBatchBench(out, msg io.Writer, opt Options, jsonOut bool) error {
 			r.Links = r.Links[:opt.APs]
 		}
 	}
-	// The cold legs carry the serial-vs-parallel bitwise-identity contract,
-	// so they always run cold. With the warm leg enabled, the cold legs
-	// record into nothing and opt.Metrics captures the warm serving path —
-	// the committed BENCH snapshot then reflects what a warm server does.
-	coldOpt := opt
-	coldOpt.Warm = false
-	coldCfg := coldOpt.estimatorConfig()
-	if opt.Warm {
-		coldCfg.Metrics = nil
-	}
-	est, err := core.NewEstimator(coldCfg)
+	est, err := core.NewEstimator(opt.estimatorConfig())
 	if err != nil {
 		return err
 	}
@@ -128,47 +110,19 @@ func RunBatchBench(out, msg io.Writer, opt Options, jsonOut bool) error {
 		return err
 	}
 
-	// Warm leg: a fresh estimator with warm-started solvers, measuring the
-	// serving path the roadmap cares about. Its positions are recorded as
-	// the run's trials (so the -compare gate checks the warm medians against
-	// the committed baseline), while the cold legs keep the bitwise
-	// serial==parallel contract below.
-	recordedRes := parallelRes
-	var warmT time.Duration
-	if opt.Warm {
-		warmEst, err := core.NewEstimator(opt.estimatorConfig())
-		if err != nil {
-			return err
-		}
-		warmEng, err := core.NewEngine(warmEst, workers)
-		if err != nil {
-			return err
-		}
-		if _, errs := warmEng.LocalizeBatch(reqs[:1]); errs[0] != nil {
-			return fmt.Errorf("experiments: warm warmup: %w", errs[0])
-		}
-		warmRes, t, err := run(warmEng, "warm")
-		if err != nil {
-			return err
-		}
-		recordedRes, warmT = warmRes, t
-	}
-
 	identical := true
-	coldErrs := make([]float64, len(reqs))
 	locErrs := make([]float64, len(reqs))
 	for i := range serialRes {
 		if serialRes[i].Position != parallelRes[i].Position {
 			identical = false
 		}
-		coldErrs[i] = parallelRes[i].Position.Dist(truth[i])
-		locErrs[i] = recordedRes[i].Position.Dist(truth[i])
+		locErrs[i] = parallelRes[i].Position.Dist(truth[i])
 		exp.Record(quality.Trial{
 			System:   SysROArray,
 			Label:    "batch",
 			Scenario: quality.Scenario{Seed: opt.Seed, Band: "high", APs: opt.APs, Packets: opt.Packets},
 			Truth:    quality.Pos(truth[i].X, truth[i].Y),
-			Estimate: quality.Pos(recordedRes[i].Position.X, recordedRes[i].Position.Y),
+			Estimate: quality.Pos(parallelRes[i].Position.X, parallelRes[i].Position.Y),
 			Errors:   map[string]float64{"loc_m": locErrs[i]},
 		})
 	}
@@ -185,9 +139,6 @@ func RunBatchBench(out, msg io.Writer, opt Options, jsonOut bool) error {
 	}
 	exp.Value("identical", "ratio", ident)
 	exp.Value("speedup", "", float64(serialT)/math.Max(float64(parallelT), 1))
-	if opt.Warm {
-		exp.Value("warm_s_per_op", "s", warmT.Seconds()/float64(len(reqs)))
-	}
 	res := BatchBenchResult{
 		Benchmark:       "LocalizeBatch",
 		Requests:        len(reqs),
@@ -201,23 +152,6 @@ func RunBatchBench(out, msg io.Writer, opt Options, jsonOut bool) error {
 		MedianErrM:      cdf.Median(),
 		Identical:       identical,
 	}
-	if opt.Warm {
-		coldCDF, err := stats.NewCDF(coldErrs)
-		if err != nil {
-			return err
-		}
-		res.Warm = true
-		res.WarmNsPerOp = warmT.Nanoseconds() / int64(len(reqs))
-		res.WarmSpeedup = float64(parallelT) / math.Max(float64(warmT), 1)
-		res.ColdMedianErrM = coldCDF.Median()
-		// Warm solves may end at slightly different iterates, but the
-		// localization medians must stay put; a drift past the gate's own
-		// tolerance is a correctness bug, not a tuning matter.
-		if d := math.Abs(res.MedianErrM - res.ColdMedianErrM); d > math.Max(0.1, 0.25*res.ColdMedianErrM) {
-			return fmt.Errorf("experiments: warm median error %.3f m drifted %.3f m from cold %.3f m",
-				res.MedianErrM, d, res.ColdMedianErrM)
-		}
-	}
 	if opt.Metrics != nil {
 		res.Metrics = opt.Metrics.Snapshot()
 	}
@@ -230,10 +164,6 @@ func RunBatchBench(out, msg io.Writer, opt Options, jsonOut bool) error {
 		fmt.Fprintf(out, "serial   (1 worker):   %v/op\n", time.Duration(res.SerialNsPerOp))
 		fmt.Fprintf(out, "parallel (%d workers): %v/op\n", res.Workers, time.Duration(res.ParallelNsPerOp))
 		fmt.Fprintf(out, "speedup: %.2fx   identical results: %v   median error: %.2f m\n", res.Speedup, res.Identical, res.MedianErrM)
-		if res.Warm {
-			fmt.Fprintf(out, "warm     (%d workers): %v/op   %.2fx over cold parallel   cold median: %.2f m\n",
-				res.Workers, time.Duration(res.WarmNsPerOp), res.WarmSpeedup, res.ColdMedianErrM)
-		}
 	}
 	if !identical {
 		return fmt.Errorf("experiments: serial and parallel batch results diverged")

@@ -40,13 +40,6 @@ type Options struct {
 	// SolverIters caps the ADMM iterations per solve (default 150 — the
 	// support stabilizes long before full convergence).
 	SolverIters int
-	// Warm enables warm-started solvers (core.Config.Warm): chained solves
-	// seed from the previous solution of the same shape and early-stop once
-	// the spectrum stabilizes. Off by default — warm solves end at slightly
-	// different iterates, so the bit-reproducible figure pipeline and the
-	// cold bench legs leave it cold; RunBatchBench's warm leg and the
-	// serving path turn it on.
-	Warm bool
 	// Search tunes the Eq. 19 localization grid search (core.SearchConfig);
 	// the zero value selects the coarse-to-fine strategy, bit-identical to
 	// the flat scan.
@@ -112,7 +105,6 @@ func (o Options) estimatorConfig() core.Config {
 		SolverOptions: []sparse.Option{
 			sparse.WithMaxIters(o.SolverIters),
 		},
-		Warm:    o.Warm,
 		Search:  o.Search,
 		Metrics: o.Metrics,
 	}

@@ -86,7 +86,7 @@ func TestEventLogRoundTrip(t *testing.T) {
 		ID: "abc", Outcome: "ok", Status: 200,
 		TotalMillis: 12.5, BatchID: 3, BatchSize: 2,
 		SearchMode: "coarse", CellsEvaluated: 512,
-		Solver: "admm", WarmEngaged: true,
+		Solver:             "admm",
 		SanitizeConfidence: 0.6,
 		Est:                []float64{1.25, -3.5},
 	}
@@ -109,9 +109,23 @@ func TestEventLogRoundTrip(t *testing.T) {
 	g := got[0]
 	if g.Schema != RequestEventSchema || g.ID != "abc" || g.Outcome != "ok" ||
 		g.SearchMode != "coarse" || g.CellsEvaluated != 512 || g.Solver != "admm" ||
-		!g.WarmEngaged || g.SanitizeConfidence != 0.6 ||
+		g.SanitizeConfidence != 0.6 ||
 		len(g.Est) != 2 || g.Est[0] != 1.25 || g.Est[1] != -3.5 {
 		t.Fatalf("round trip mangled the event:\n got %+v\nwant %+v", g, ev)
+	}
+}
+
+// TestDecodeLegacyWarmFields decodes a record written while the log still
+// carried warm-start flags: the removed "warm"/"warmRejected" fields are
+// ignored like any unknown field, and everything else survives.
+func TestDecodeLegacyWarmFields(t *testing.T) {
+	ev, err := DecodeRequestEvent([]byte(`{"schema":1,"id":"old","outcome":"ok","status":200,` +
+		`"solver":"admm","warm":true,"warmRejected":true,"est":[1.5,-2.5]}`))
+	if err != nil {
+		t.Fatalf("legacy record rejected: %v", err)
+	}
+	if ev.ID != "old" || ev.Outcome != "ok" || ev.Solver != "admm" || len(ev.Est) != 2 || ev.Est[1] != -2.5 {
+		t.Fatalf("legacy record mangled: %+v", ev)
 	}
 }
 

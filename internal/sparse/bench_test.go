@@ -43,33 +43,16 @@ func benchSolver(b *testing.B, a *cmat.Matrix, opts ...Option) *Solver {
 	return s
 }
 
-// BenchmarkADMMCold measures one full cold ADMM solve at the batch
-// benchmark's joint-dictionary dimensions (90 x 920, 2 fused snapshots,
-// 150-iteration cap) — the unit of work behind core.solve.seconds.
+// BenchmarkADMMCold measures one full ADMM solve on the dense joint
+// dictionary at the batch benchmark's dimensions (90 x 920, 2 fused
+// snapshots, 150-iteration cap). It shares its data with BenchmarkADMMKron,
+// so the pair's ratio is the factored path's gain.
 func BenchmarkADMMCold(b *testing.B) {
-	a, y := benchProblem(90, 920, 2)
+	_, _, a, y := benchKronProblem(2)
 	s := benchSolver(b, a, WithMaxIters(150))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.SolveMulti(y, 0.1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkADMMWarm measures the same solve warm-started from its own
-// previous solution with the spectrum-stability stop armed — the steady
-// state of a chained serving workload.
-func BenchmarkADMMWarm(b *testing.B) {
-	a, y := benchProblem(90, 920, 2)
-	s := benchSolver(b, a, WithMaxIters(150), WithSpectrumStop(1e-4, 3))
-	ws := &WarmState{}
-	if _, err := s.SolveMultiWarm(y, 0.1, ws); err != nil {
-		b.Fatal(err) // prime the warm state outside the timed region
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.SolveMultiWarm(y, 0.1, ws); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -114,8 +97,7 @@ func benchKronProblem(k int) (g, s, dense, y *cmat.Matrix) {
 }
 
 // BenchmarkADMMKron is BenchmarkADMMCold with the dictionary's Kronecker
-// structure declared — the per-iteration configuration of the warm serving
-// path.
+// structure declared — the configuration of every joint solve in core.
 func BenchmarkADMMKron(b *testing.B) {
 	g, s, dense, y := benchKronProblem(2)
 	sv := benchSolver(b, dense, WithMaxIters(150), WithKronecker(g, s))
@@ -140,29 +122,14 @@ func BenchmarkADMMKronK1(b *testing.B) {
 	}
 }
 
-// BenchmarkFISTACold / BenchmarkFISTAWarm mirror the ADMM pair for the
-// proximal-gradient path used by the solver ablation.
+// BenchmarkFISTACold mirrors BenchmarkADMMCold for the proximal-gradient
+// path used by the solver ablation and the fallback chain.
 func BenchmarkFISTACold(b *testing.B) {
 	a, y := benchProblem(90, 920, 2)
 	s := benchSolver(b, a, WithMethod(MethodFISTA), WithMaxIters(150))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.SolveMulti(y, 0.1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFISTAWarm(b *testing.B) {
-	a, y := benchProblem(90, 920, 2)
-	s := benchSolver(b, a, WithMethod(MethodFISTA), WithMaxIters(150), WithSpectrumStop(1e-4, 3))
-	ws := &WarmState{}
-	if _, err := s.SolveMultiWarm(y, 0.1, ws); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.SolveMultiWarm(y, 0.1, ws); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -149,7 +149,7 @@ func kronFactors(ll, tt, mm, cc int) (g, s, dense *cmat.Matrix) {
 
 // TestKronOpsMatchDense checks the factored matvecs against the dense kernels
 // within floating-point tolerance (they associate sums differently, so exact
-// equality is not expected — that is why the Kronecker path is opt-in).
+// equality is not expected).
 func TestKronOpsMatchDense(t *testing.T) {
 	g, s, dense := kronFactors(6, 5, 3, 7)
 	ops := newKronOps(g, s)

@@ -14,10 +14,9 @@ import (
 // products of a delay response and an array response — a matvec factors into
 // two small contractions. For the paper's dimensions (90 x 920 from factors
 // 30 x 20 and 3 x 46) that is ~18x fewer multiplies per iteration than the
-// dense product. The factored results are numerically equivalent but not
-// bit-identical to the dense kernels (the products associate differently),
-// which is why the structure is opt-in (WithKronecker) and engaged only on
-// the warm serving path, never under the bit-reproducible figure pipeline.
+// dense product. The factored results agree with the dense kernels to
+// rounding, not bitwise (the products associate differently); core declares
+// the structure (WithKronecker) on every joint solver.
 type kronOps struct {
 	ll, tt int // row factor shape (L x T)
 	mm, cc int // column factor shape (M x C)

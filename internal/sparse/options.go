@@ -56,17 +56,15 @@ var ErrDimensionMismatch = errors.New("sparse: measurement length does not match
 type IterationHook func(iter int, mags []float64)
 
 type options struct {
-	method       Method
-	maxIters     int
-	absTol       float64
-	relTol       float64
-	rho          float64
-	hook         IterationHook
-	metrics      *obs.Registry
-	specTol      float64
-	specPatience int
-	kronRow      *cmat.Matrix
-	kronCol      *cmat.Matrix
+	method   Method
+	maxIters int
+	absTol   float64
+	relTol   float64
+	rho      float64
+	hook     IterationHook
+	metrics  *obs.Registry
+	kronRow  *cmat.Matrix
+	kronCol  *cmat.Matrix
 }
 
 func defaultOptions() options {
@@ -103,21 +101,6 @@ func WithRho(rho float64) Option { return func(o *options) { o.rho = rho } }
 // AoA spectrum as it sharpens across iterations (paper Fig. 3).
 func WithIterationHook(h IterationHook) Option { return func(o *options) { o.hook = h } }
 
-// WithSpectrumStop enables spectrum-stability early stopping: iteration ends
-// as soon as the per-atom magnitude spectrum (the row l2 norms downstream
-// peak detection consumes) changes by at most a relative l2 factor of tol
-// for patience consecutive iterations. The full primal/dual residual
-// criterion keeps far iterating after the support and peak structure have
-// frozen, so on spectrum-driven pipelines this ends solves in a fraction of
-// the cap — and it is what lets a warm-started solve (SolveMultiWarm) finish
-// almost immediately when its seed is already near the solution. Disabled by
-// default (tol or patience <= 0), which preserves the legacy bit-exact
-// iteration path. A stop through this rule reports Converged with
-// Result.EarlyStopped set.
-func WithSpectrumStop(tol float64, patience int) Option {
-	return func(o *options) { o.specTol, o.specPatience = tol, patience }
-}
-
 // WithKronecker declares that the dictionary has Kronecker (separable)
 // structure: entry ((l*M+m), (t*C+i)) equals rowFactor[l][t] * colFactor[m][i]
 // for a rowFactor of shape L x T and a colFactor of shape M x C. The joint
@@ -125,11 +108,12 @@ func WithSpectrumStop(tol float64, patience int) Option {
 // outer product of a delay response over subcarriers and an array response
 // over antennas — and declaring it lets every matvec inside the iteration
 // loops run on the small factors instead of the dense L*M x T*C matrix
-// (~18x fewer multiplies at the paper's dimensions). NewSolver verifies the
-// factorization against the dense dictionary and fails construction on
-// mismatch. The factored products are numerically equivalent but not
-// bit-identical to the dense kernels (sums associate differently), so this is
-// opt-in and the figure/golden pipeline never enables it.
+// (~18x fewer multiplies at the paper's dimensions), and builds the ADMM
+// system rho I + AAᴴ as (GGᴴ)⊗(SSᴴ) without ever forming the dense Gram.
+// NewSolver verifies the factorization against the dense dictionary and fails
+// construction on mismatch. The factored products agree with the dense
+// kernels to rounding, not bitwise (sums associate differently);
+// TestSolveExactKronecker bounds the spectrum deviation (DESIGN.md §13).
 func WithKronecker(rowFactor, colFactor *cmat.Matrix) Option {
 	return func(o *options) { o.kronRow, o.kronCol = rowFactor, colFactor }
 }
@@ -159,17 +143,6 @@ type Result struct {
 	// Converged reports whether the stopping criterion was met before
 	// hitting the iteration cap.
 	Converged bool
-	// EarlyStopped reports that the solve ended through the
-	// spectrum-stability rule of WithSpectrumStop rather than the full
-	// residual criterion (Converged is also set in that case).
-	EarlyStopped bool
-	// Warm reports that the solve was seeded from a compatible WarmState.
-	Warm bool
-	// WarmRejected reports that a compatible seed existed but scored worse
-	// than the cold start at zero, so the solve ran cold. Distinguishing
-	// "no seed" from "seed rejected" matters when diagnosing warm-start hit
-	// rates: the former is a cache miss, the latter a stale cache entry.
-	WarmRejected bool
 	// Objective is the final value of 1/2||AX-Y||_F^2 + kappa*sum row norms.
 	Objective float64
 }

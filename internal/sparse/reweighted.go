@@ -34,7 +34,7 @@ func (s *Solver) SolveWeighted(y []complex128, kappa float64, weights []float64)
 	}
 	ym := cmat.New(len(y), 1)
 	ym.SetCol(0, y)
-	return s.solveADMMWeighted(ym, kappa, weights, nil)
+	return s.solveADMMWeighted(ym, kappa, weights)
 }
 
 // ReweightedResult reports the outcome of iteratively reweighted l1.
@@ -89,9 +89,8 @@ func (s *Solver) SolveReweighted(y []complex128, kappa float64, rounds int, eps 
 	return &ReweightedResult{Result: res, Rounds: rounds}, nil
 }
 
-// solveADMMWeighted is solveADMM with per-atom soft-threshold scaling and
-// optional warm starting from (and back into) ws.
-func (s *Solver) solveADMMWeighted(y *cmat.Matrix, kappa float64, weights []float64, ws *WarmState) (*Result, error) {
+// solveADMMWeighted is solveADMM with per-atom soft-threshold scaling.
+func (s *Solver) solveADMMWeighted(y *cmat.Matrix, kappa float64, weights []float64) (*Result, error) {
 	n := s.a.Cols()
 	m := s.a.Rows()
 	k := y.Cols()
@@ -115,10 +114,7 @@ func (s *Solver) solveADMMWeighted(y *cmat.Matrix, kappa float64, weights []floa
 	bwd := make([]complex128, m)
 	rowBuf := make([]complex128, k)
 	mags := make([]float64, n)
-	var kscratch []complex128
-	if s.kron != nil {
-		kscratch = make([]complex128, s.kron.scratchLen())
-	}
+	kscratch := s.kronScratch()
 
 	aty := cmat.New(n, k)
 	if s.kron != nil {
@@ -134,52 +130,20 @@ func (s *Solver) solveADMMWeighted(y *cmat.Matrix, kappa float64, weights []floa
 		return weights[i]
 	}
 
-	// Warm start: seed the splitting variable z and scaled dual u from the
-	// previous solve's final iterates (Boyd et al. §4.3). The first x-update
-	// immediately reconciles x with the seeded pair, so an accurate seed puts
-	// the solve within a few iterations of its stopping point. The seed is
-	// accepted only if its objective beats the zero cold start's 1/2||Y||_F^2
-	// — a seed left over from an unrelated measurement (different location,
-	// shuffled batch order) fails that test, and spending iterations escaping
-	// a bad seed is strictly worse than starting cold.
-	warm := ws.seedable(MethodADMM, n, k)
-	warmRejected := false
-	if warm {
-		copyInto(z, ws.primary)
-		copyInto(u, ws.dual)
-		yn := y.FrobNorm()
-		if s.seedObjective(z, y, kappa, weights, av, kscratch) >= 0.5*yn*yn {
-			zeroMat(z)
-			zeroMat(u)
-			warm = false
-			warmRejected = true
-		}
-	}
-	stop := newSpecStop(s.opts, n)
-
 	rhoC := complex(rho, 0)
 	inv := complex(1/rho, 0)
 	vd, atyD, zd, ud, xd, atwD, zOldD := v.Data(), aty.Data(), z.Data(), u.Data(), x.Data(), atw.Data(), zOld.Data()
 	iters := 0
 	converged := false
-	early := false
 	for it := 1; it <= s.opts.maxIters; it++ {
 		iters = it
 		for idx := range vd {
 			vd[idx] = atyD[idx] + rhoC*(zd[idx]-ud[idx])
 		}
 		// x-update by the Woodbury identity: x = (v - Aᴴ(rho I + AAᴴ)⁻¹ A v)/rho.
-		if s.kron != nil {
-			s.kron.mulInto(v, av, kscratch)
-		} else {
-			mulBatchInto(s.a, v, av)
-		}
+		s.mulInto(v, av, kscratch)
 		s.chol.SolveBatchInto(av, w, fwd, bwd)
-		if s.kron != nil {
-			s.kron.mulHInto(w, atw, kscratch)
-		} else {
-			mulHBatchInto(s.a, w, atw)
-		}
+		s.mulHInto(w, atw, kscratch)
 		for idx := range xd {
 			xd[idx] = (vd[idx] - atwD[idx]) * inv
 		}
@@ -208,41 +172,16 @@ func (s *Solver) solveADMMWeighted(y *cmat.Matrix, kappa float64, weights []floa
 			converged = true
 			break
 		}
-		// A stationary spectrum is only trusted when the residuals are within
-		// a slack factor of the full criterion — ADMM can hold a frozen (and
-		// wrong) spectrum for hundreds of iterations before a support jump,
-		// and those plateau iterates carry residuals far above tolerance (see
-		// specResidualSlack).
-		if stop.stable(z) && priRes <= specResidualSlack*priEps && dualRes <= specResidualSlack*dualEps {
-			converged, early = true, true
-			break
-		}
 	}
 
-	ws.store(MethodADMM, n, k, z, u)
 	rowMagsInto(z, mags)
-	var l1 float64
-	for i := 0; i < n; i++ {
-		l1 += weightAt(i) * rowNorm(z.RowView(i))
-	}
-	var fit float64
-	if s.kron != nil {
-		s.kron.mulInto(z, av, kscratch)
-		fit = subFrobNorm(av, y)
-	} else {
-		r := cmat.Sub(cmat.Mul(s.a, z), y)
-		fit = r.FrobNorm()
-	}
 	res := &Result{
-		Solver:       s.opts.method.String(),
-		X:            matToColumns(z),
-		RowMags:      mags,
-		Iterations:   iters,
-		Converged:    converged,
-		EarlyStopped: early,
-		Warm:         warm,
-		WarmRejected: warmRejected,
-		Objective:    0.5*fit*fit + kappa*l1,
+		Solver:     s.opts.method.String(),
+		X:          matToColumns(z),
+		RowMags:    mags,
+		Iterations: iters,
+		Converged:  converged,
+		Objective:  s.objective(z, y, kappa, weights, av, kscratch),
 	}
 	s.tele.record(res)
 	return res, nil

@@ -28,9 +28,6 @@ type Solver struct {
 type solverTelemetry struct {
 	solves       *obs.Counter
 	nonconverged *obs.Counter
-	earlyStops   *obs.Counter
-	warmSolves   *obs.Counter
-	warmRejected *obs.Counter
 	iterations   *obs.Histogram
 }
 
@@ -41,9 +38,6 @@ func newSolverTelemetry(reg *obs.Registry) *solverTelemetry {
 	return &solverTelemetry{
 		solves:       reg.Counter("sparse.solve.total"),
 		nonconverged: reg.Counter("sparse.solve.nonconverged_total"),
-		earlyStops:   reg.Counter("sparse.solve.earlystop_total"),
-		warmSolves:   reg.Counter("sparse.solve.warm_total"),
-		warmRejected: reg.Counter("sparse.solve.warm_rejected_total"),
 		iterations:   reg.Histogram("sparse.solve.iterations", 5, 10, 25, 50, 100, 200, 400, 800),
 	}
 }
@@ -58,15 +52,6 @@ func (t *solverTelemetry) record(res *Result) {
 	t.iterations.Observe(float64(res.Iterations))
 	if !res.Converged {
 		t.nonconverged.Inc()
-	}
-	if res.EarlyStopped {
-		t.earlyStops.Inc()
-	}
-	if res.Warm {
-		t.warmSolves.Inc()
-	}
-	if res.WarmRejected {
-		t.warmRejected.Inc()
 	}
 }
 
@@ -94,21 +79,19 @@ func NewSolver(a *cmat.Matrix, opts ...Option) (*Solver, error) {
 		if o.rho < 0 {
 			return nil, fmt.Errorf("sparse: ADMM rho must be positive, got %v", o.rho)
 		}
+		g, frob2 := gram(a, o.kronRow, o.kronCol)
 		if o.rho == 0 {
 			// Scale-adaptive default: the mean squared column norm, i.e.
 			// trace(AᴴA)/n. This is 1 for unit-norm dictionaries and M*L for
 			// steering dictionaries, keeping the ADMM splitting balanced.
-			fn := a.FrobNorm()
-			o.rho = fn * fn / float64(a.Cols())
+			o.rho = frob2 / float64(a.Cols())
 			if o.rho == 0 {
 				return nil, fmt.Errorf("sparse: dictionary has zero norm")
 			}
 			s.opts.rho = o.rho
 		}
-		m := a.Rows()
 		// rho I + A Aᴴ is Hermitian positive definite for rho > 0.
-		g := cmat.Mul(a, a.H())
-		for i := 0; i < m; i++ {
+		for i := 0; i < a.Rows(); i++ {
 			g.Set(i, i, g.At(i, i)+complex(o.rho, 0))
 		}
 		chol, err := cmat.CholeskyDecompose(g)
@@ -128,6 +111,19 @@ func NewSolver(a *cmat.Matrix, opts ...Option) (*Solver, error) {
 	return s, nil
 }
 
+// gram returns the Gram matrix AAᴴ and ||A||_F^2. When Kronecker factors
+// A = G⊗S are given (g, f non-nil) it is (GGᴴ)⊗(SSᴴ) with ||G||_F^2 ||S||_F^2,
+// so the dense m x n x m product never runs; TestSolveExactKronecker holds
+// the two forms to 1e-12 relative agreement.
+func gram(a, g, f *cmat.Matrix) (*cmat.Matrix, float64) {
+	if g != nil {
+		gn, fn := g.FrobNorm(), f.FrobNorm()
+		return cmat.Kron(cmat.Mul(g, g.H()), cmat.Mul(f, f.H())), gn * gn * fn * fn
+	}
+	fn := a.FrobNorm()
+	return cmat.Mul(a, a.H()), fn * fn
+}
+
 // Dict returns the dictionary this solver was built for.
 func (s *Solver) Dict() *cmat.Matrix { return s.a }
 
@@ -138,15 +134,11 @@ func (s *Solver) Dict() *cmat.Matrix { return s.a }
 func (s *Solver) DictMulH(y *cmat.Matrix) *cmat.Matrix {
 	if s.kron != nil {
 		out := cmat.New(s.a.Cols(), y.Cols())
-		s.kron.mulHInto(y, out, make([]complex128, s.kron.scratchLen()))
+		s.kron.mulHInto(y, out, s.kronScratch())
 		return out
 	}
 	return cmat.MulH(s.a, y)
 }
-
-// MaxIters returns the configured iteration cap, the reference point for
-// iterations-saved accounting on warm-started solves.
-func (s *Solver) MaxIters() int { return s.opts.maxIters }
 
 // Solve recovers a sparse coefficient vector for a single measurement y,
 // minimizing 1/2||Ax-y||^2 + kappa||x||_1.
@@ -174,7 +166,7 @@ func (s *Solver) SolveMulti(y *cmat.Matrix, kappa float64) (*Result, error) {
 	case MethodADMM:
 		return s.solveADMM(y, kappa)
 	default:
-		return s.solveProximal(y, kappa, nil)
+		return s.solveProximal(y, kappa)
 	}
 }
 
@@ -199,24 +191,13 @@ func rowMagsInto(x *cmat.Matrix, dst []float64) {
 	}
 }
 
-// objective evaluates 1/2||AX-Y||_F^2 + kappa*sum_i ||X_i||_2.
-func (s *Solver) objective(x, y *cmat.Matrix, kappa float64) float64 {
-	r := cmat.Sub(cmat.Mul(s.a, x), y)
-	fit := r.FrobNorm()
-	var l1 float64
-	for i := 0; i < x.Rows(); i++ {
-		l1 += rowNorm(x.Row(i))
-	}
-	return 0.5*fit*fit + kappa*l1
-}
-
 func (s *Solver) solveADMM(y *cmat.Matrix, kappa float64) (*Result, error) {
 	// Plain LASSO is the weighted problem with uniform unit weights; the
 	// full ADMM loop lives in solveADMMWeighted (reweighted.go).
-	return s.solveADMMWeighted(y, kappa, nil, nil)
+	return s.solveADMMWeighted(y, kappa, nil)
 }
 
-func (s *Solver) solveProximal(y *cmat.Matrix, kappa float64, ws *WarmState) (*Result, error) {
+func (s *Solver) solveProximal(y *cmat.Matrix, kappa float64) (*Result, error) {
 	n := s.a.Cols()
 	m := s.a.Rows()
 	k := y.Cols()
@@ -234,36 +215,12 @@ func (s *Solver) solveProximal(y *cmat.Matrix, kappa float64, ws *WarmState) (*R
 	rowBuf := make([]complex128, k)
 	mags := make([]float64, n)
 	theta := 1.0
-	var kscratch []complex128
-	if s.kron != nil {
-		kscratch = make([]complex128, s.kron.scratchLen())
-	}
-
-	// Warm start: resume from the previous primal iterate with the momentum
-	// reset (restarting theta keeps FISTA's extrapolation stable from an
-	// arbitrary seed). The seed is accepted only if it scores a lower
-	// objective than the cold start at zero — a seed from an unrelated
-	// measurement (a different location, a reshuffled batch) fails that test
-	// and the solve runs cold rather than spending iterations escaping it.
-	warm := ws.seedable(s.opts.method, n, k)
-	warmRejected := false
-	if warm {
-		copyInto(x, ws.primary)
-		yn := y.FrobNorm()
-		if s.seedObjective(x, y, kappa, nil, aw, kscratch) >= 0.5*yn*yn {
-			zeroMat(x)
-			warm = false
-			warmRejected = true
-		}
-		copyInto(w, x)
-	}
-	stop := newSpecStop(s.opts, n)
+	kscratch := s.kronScratch()
 
 	xd, pd, wd, gd := x.Data(), xPrev.Data(), w.Data(), grad.Data()
 	stepC := complex(step, 0)
 	iters := 0
 	converged := false
-	early := false
 	for it := 1; it <= s.opts.maxIters; it++ {
 		iters = it
 		// Gradient of the smooth part at w: Aᴴ(Aw - Y).
@@ -293,7 +250,7 @@ func (s *Solver) solveProximal(y *cmat.Matrix, kappa float64, ws *WarmState) (*R
 			}
 			theta = thetaNext
 		} else {
-			copyInto(w, x)
+			copy(wd, xd)
 		}
 
 		s.matHook(it, x, mags)
@@ -305,49 +262,26 @@ func (s *Solver) solveProximal(y *cmat.Matrix, kappa float64, ws *WarmState) (*R
 			converged = true
 			break
 		}
-		// Spectrum stability alone is not a sound stop: the iterate can
-		// plateau with a frozen spectrum far from the optimum and jump later
-		// (see specResidualSlack). Require the step size to be within a slack
-		// factor of the full criterion before trusting it.
-		if stop.stable(x) && diff <= specResidualSlack*tol {
-			converged, early = true, true
-			break
-		}
 	}
 
-	ws.store(s.opts.method, n, k, x, nil)
 	rowMagsInto(x, mags)
-	obj := 0.0
-	if s.kron != nil {
-		obj = s.seedObjective(x, y, kappa, nil, aw, kscratch)
-	} else {
-		obj = s.objective(x, y, kappa)
-	}
 	res := &Result{
-		Solver:       s.opts.method.String(),
-		X:            matToColumns(x),
-		RowMags:      mags,
-		Iterations:   iters,
-		Converged:    converged,
-		EarlyStopped: early,
-		Warm:         warm,
-		WarmRejected: warmRejected,
-		Objective:    obj,
+		Solver:     s.opts.method.String(),
+		X:          matToColumns(x),
+		RowMags:    mags,
+		Iterations: iters,
+		Converged:  converged,
+		Objective:  s.objective(x, y, kappa, nil, aw, kscratch),
 	}
 	s.tele.record(res)
 	return res, nil
 }
 
-// seedObjective evaluates 1/2||AX-Y||_F^2 + kappa*sum_i w_i||X_i||_2 using
-// the caller's m x k scratch (and the Kronecker factors when available). It
-// backs the warm-seed acceptance test: a seed is only worth keeping if it
-// beats the zero cold start's objective 1/2||Y||_F^2.
-func (s *Solver) seedObjective(x, y *cmat.Matrix, kappa float64, weights []float64, ax *cmat.Matrix, kscratch []complex128) float64 {
-	if s.kron != nil {
-		s.kron.mulInto(x, ax, kscratch)
-	} else {
-		mulBatchInto(s.a, x, ax)
-	}
+// objective evaluates 1/2||AX-Y||_F^2 + kappa*sum_i w_i||X_i||_2 (w_i = 1
+// when weights is nil) using the caller's m x k scratch ax, and the
+// Kronecker factors when the solver has them.
+func (s *Solver) objective(x, y *cmat.Matrix, kappa float64, weights []float64, ax *cmat.Matrix, kscratch []complex128) float64 {
+	s.mulInto(x, ax, kscratch)
 	fit := subFrobNorm(ax, y)
 	var l1 float64
 	for i := 0; i < x.Rows(); i++ {
@@ -360,15 +294,31 @@ func (s *Solver) seedObjective(x, y *cmat.Matrix, kappa float64, weights []float
 	return 0.5*fit*fit + kappa*l1
 }
 
-func copyInto(dst, src *cmat.Matrix) {
-	copy(dst.Data(), src.Data())
+// mulInto computes out = A v, through the Kronecker factors when declared.
+func (s *Solver) mulInto(v, out *cmat.Matrix, kscratch []complex128) {
+	if s.kron != nil {
+		s.kron.mulInto(v, out, kscratch)
+	} else {
+		mulBatchInto(s.a, v, out)
+	}
 }
 
-func zeroMat(m *cmat.Matrix) {
-	d := m.Data()
-	for i := range d {
-		d[i] = 0
+// mulHInto computes out = Aᴴ w, through the Kronecker factors when declared.
+func (s *Solver) mulHInto(w, out *cmat.Matrix, kscratch []complex128) {
+	if s.kron != nil {
+		s.kron.mulHInto(w, out, kscratch)
+	} else {
+		mulHBatchInto(s.a, w, out)
 	}
+}
+
+// kronScratch returns the intermediate buffer the factored matvecs need
+// (nil without factors).
+func (s *Solver) kronScratch() []complex128 {
+	if s.kron == nil {
+		return nil
+	}
+	return make([]complex128, s.kron.scratchLen())
 }
 
 func matToColumns(x *cmat.Matrix) [][]complex128 {

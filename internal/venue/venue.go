@@ -246,9 +246,6 @@ type Venue struct {
 type BuildConfig struct {
 	// Workers sizes each venue engine's worker pool (<= 0 selects 1).
 	Workers int
-	// Warm enables warm-started solving on the venue's estimator (the
-	// serving configuration).
-	Warm bool
 	// Fallback enables the solver degradation chain.
 	Fallback bool
 	// Metrics, when non-nil, receives the estimator's telemetry.
@@ -273,7 +270,6 @@ func Build(spec Spec, bcfg BuildConfig) (*Venue, error) {
 		bcfg.Disturb()
 	}
 	cfg := spec.EstimatorConfig()
-	cfg.Warm = bcfg.Warm
 	cfg.Fallback = bcfg.Fallback
 	cfg.Metrics = bcfg.Metrics
 	start := time.Now()
