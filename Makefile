@@ -9,20 +9,21 @@ GO ?= go
 # so the full -race sweep stays affordable.
 RACE_PKGS := ./internal/core/... ./internal/sparse/... ./internal/obs/... ./internal/quality/... ./internal/serve/... ./internal/venue/... ./internal/testbed/...
 
-.PHONY: check vet build inline-check test race bench bench-search profile experiments quality-gate bless-quality bless-batch serve-smoke bless-serve fuzz-smoke fault-gate bless-fault obs-smoke diag-smoke shard-smoke bless-shard track-smoke bless-track
+.PHONY: check vet perfbench-vet build test race bench bench-search profile experiments quality-gate bless-quality bless-batch serve-smoke bless-serve fuzz-smoke fault-gate bless-fault obs-smoke diag-smoke shard-smoke bless-shard track-smoke bless-track
 
-check: vet build inline-check test race fuzz-smoke quality-gate fault-gate serve-smoke obs-smoke diag-smoke shard-smoke track-smoke
+check: vet perfbench-vet build test race fuzz-smoke quality-gate fault-gate serve-smoke obs-smoke diag-smoke shard-smoke track-smoke
 
 vet:
 	$(GO) vet ./...
 
+# The benchmark under perfbench/ is its own module, so the root `go build
+# ./...` and `go vet ./...` skip it; vet it here so an internal API change
+# cannot break `bash perfbench/run.sh` unseen. GOPROXY=off keeps it offline.
+perfbench-vet:
+	cd perfbench && GOPROXY=off $(GO) vet ./...
+
 build:
 	$(GO) build ./...
-
-# cmat.(*Matrix).RowView sits in the AoA solver's and the dense kernels' hot
-# loops; fail if it grows past the compiler's inlining budget.
-inline-check:
-	$(GO) build -gcflags=-m ./internal/cmat 2>&1 | grep -q 'can inline (\*Matrix).RowView'
 
 test:
 	$(GO) test ./...
@@ -37,7 +38,8 @@ bench:
 
 # Search-strategy and solver benchmark pairs (see DESIGN.md §13): the
 # flat-vs-coarse-fine grid search ratio and the dense-vs-Kronecker-factored
-# ADMM ratio on one joint dictionary. The committed-baseline regression
+# ADMM ratio on one joint dictionary (dense = the plain matrix as the
+# trivial pair [1]⊗A). The committed-baseline regression
 # assertion itself lives in cmd/roabench (TestCommittedBatchBaseline, part
 # of `make test`, which also re-measures the factored-over-dense ratio);
 # this target is for eyeballing the ratios.

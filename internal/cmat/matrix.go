@@ -96,10 +96,9 @@ func (m *Matrix) Row(i int) []complex128 {
 
 // RowView returns row i as a slice sharing the matrix's backing storage —
 // writes through the view mutate the matrix. It exists for allocation-free
-// inner loops (the sparse solvers' iteration kernels); use Row when an
-// independent copy is wanted. The body is one three-index slice so it stays
-// within the inlining budget (`make check` verifies that it inlines); an
-// out-of-range row fails the slice's own bounds check.
+// inner loops; use Row when an independent copy is wanted. The body is one
+// three-index slice, so an out-of-range row fails the slice's own bounds
+// check.
 func (m *Matrix) RowView(i int) []complex128 {
 	return m.data[i*m.cols : (i+1)*m.cols : (i+1)*m.cols]
 }

@@ -248,8 +248,19 @@ func Inverse(a *Matrix) (*Matrix, error) {
 // using power iteration on AᴴA with deterministic start. iters of ~50 gives
 // ample accuracy for Lipschitz-constant estimation in FISTA.
 func PowerIterationLargestSingular(a *Matrix, iters int) float64 {
-	n := a.Cols()
-	if n == 0 || a.Rows() == 0 {
+	if a.Rows() == 0 {
+		return 0
+	}
+	return PowerIterationGram(a.Cols(), iters, func(v []complex128) []complex128 {
+		return a.MulVecH(a.MulVec(v))
+	})
+}
+
+// PowerIterationGram is PowerIterationLargestSingular for an operator A on
+// length-n vectors that is given only through gram(v) = AᴴA v, e.g. a
+// factored dictionary. The returned slice may be reused by the next call.
+func PowerIterationGram(n, iters int, gram func(v []complex128) []complex128) float64 {
+	if n == 0 {
 		return 0
 	}
 	v := make([]complex128, n)
@@ -261,8 +272,7 @@ func PowerIterationLargestSingular(a *Matrix, iters int) float64 {
 	normalize(v)
 	var sigma float64
 	for it := 0; it < iters; it++ {
-		av := a.MulVec(v)
-		w := a.MulVecH(av)
+		w := gram(v)
 		nrm := Norm2(w)
 		if nrm == 0 {
 			return 0

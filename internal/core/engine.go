@@ -409,8 +409,9 @@ func (e *Engine) LocalizeTracked(req *LocalizeRequest, tr *Tracker, t float64) (
 // accepted only when it lands strictly inside the window and passes the
 // tracker's NIS gate; otherwise the full configured search re-runs
 // (bit-identical to the stateless path by construction) before the filter
-// absorbs the fix. The tracker is mutated by the absorbed fix; on any error
-// it is left untouched.
+// absorbs the fix, with its smoothed position clamped to req.Bounds. The
+// tracker is mutated by the absorbed fix; on any error it is left
+// untouched.
 func (e *Engine) LocalizeTrackedCtx(ctx context.Context, req *LocalizeRequest, tr *Tracker, t float64) (*TrackResult, error) {
 	return e.localizeTracked(ctx, req, tr, t, e.workers)
 }
@@ -475,7 +476,7 @@ func (e *Engine) localizeTracked(ctx context.Context, req *LocalizeRequest, tr *
 	}
 	fix.Position = pos
 	fix.Search = stats
-	tf, err := tr.Update(t, pos)
+	tf, err := tr.update(t, pos, &req.Bounds)
 	if err != nil {
 		return nil, err
 	}

@@ -201,13 +201,12 @@ func (e *Estimator) Warmup() error {
 }
 
 // FootprintBytes estimates the resident size of the estimator's heavy state:
-// the AoA dictionary (M x Ntheta), the joint space-delay dictionary
-// (M*L x Ntheta*Ntau), the ADMM Cholesky factors over both Gram shapes, and
-// the joint dictionary's Kronecker factor pair. Complex128 entries are 16
-// bytes. The joint dictionary term dominates at paper dimensions (90 x 3 x
-// 30 x 50 columns ~ 580 MB would be absurd; real venues run reduced grids),
-// which is exactly why a venue cache must budget on these bytes rather than
-// venue count.
+// the dictionary factors each solver keeps, with their conjugates — the AoA
+// dictionary (M x Ntheta) of the AoA solver, and the delay (L x Ntau) and
+// AoA factors of the joint solver — plus the ADMM Cholesky factors of
+// rho I + AAᴴ over both Gram shapes (M x M and M*L x M*L). Complex128
+// entries are 16 bytes. The dense joint dictionary (M*L x Ntheta*Ntau) is
+// never built, so it is not counted.
 func (e *Estimator) FootprintBytes() int64 {
 	const c = 16 // bytes per complex128
 	m := int64(e.cfg.Array.NumAntennas)
@@ -215,9 +214,9 @@ func (e *Estimator) FootprintBytes() int64 {
 	nth := int64(len(e.cfg.ThetaGrid))
 	ntu := int64(len(e.cfg.TauGrid))
 	ml := m * l
-	b := m*nth*c + ml*nth*ntu*c // AoA + joint dictionaries
-	b += m*m*c + ml*ml*c        // ADMM Cholesky factors (rho I + A Aᴴ)
-	b += l*ntu*c + m*nth*c      // Kronecker delay/AoA factor pair
+	b := 2 * m * nth * c         // AoA solver: [1]⊗S and its conjugate
+	b += 2 * (l*ntu + m*nth) * c // joint solver: G⊗S and conjugates
+	b += m*m*c + ml*ml*c         // ADMM Cholesky factors (rho I + A Aᴴ)
 	return b
 }
 
@@ -234,6 +233,9 @@ func BuildAoADictionary(arr wireless.Array, thetaGrid []float64) *cmat.Matrix {
 // BuildJointDictionary constructs the space-delay dictionary S~_thetatau of
 // paper Eq. 16: columns are s(theta_i, tau_t) ordered tau-major (all angles
 // for tau_1, then all angles for tau_2, ...), size (M*L) x (Ntheta*Ntau).
+// The estimator never builds it — its solvers hold the Kronecker factors
+// (BuildDelayDictionary ⊗ BuildAoADictionary) — so it serves as the dense
+// reference for tests and the solver ablation.
 func BuildJointDictionary(arr wireless.Array, ofdm wireless.OFDM, thetaGrid, tauGrid []float64) *cmat.Matrix {
 	d := cmat.New(arr.NumAntennas*ofdm.NumSubcarriers, len(thetaGrid)*len(tauGrid))
 	col := 0
@@ -250,8 +252,8 @@ func BuildJointDictionary(arr wireless.Array, ofdm wireless.OFDM, thetaGrid, tau
 // one column g(tau_t) = [1, Gamma, ..., Gamma^{L-1}]ᵀ per grid delay, size
 // L x Ntau. Together with BuildAoADictionary it forms the Kronecker
 // factorization of BuildJointDictionary — entry ((l*M+m), (t*Ntheta+i)) of
-// the joint dictionary is g(tau_t)[l] * s(theta_i)[m] — which every joint
-// solver exploits via sparse.WithKronecker.
+// the joint dictionary is g(tau_t)[l] * s(theta_i)[m] — which is how every
+// joint solver holds it (sparse.NewKronSolver).
 func BuildDelayDictionary(ofdm wireless.OFDM, tauGrid []float64) *cmat.Matrix {
 	d := cmat.New(ofdm.NumSubcarriers, len(tauGrid))
 	col := make([]complex128, ofdm.NumSubcarriers)
@@ -282,24 +284,21 @@ func (e *Estimator) getJointSolver() (*sparse.Solver, error) {
 	built := false
 	e.jointOnce.Do(func() {
 		built = true
-		dict := BuildJointDictionary(e.cfg.Array, e.cfg.OFDM, e.cfg.ThetaGrid, e.cfg.TauGrid)
-		e.jointSolver, e.jointErr = sparse.NewSolver(dict, e.jointOptions(e.cfg.SolverOptions)...)
+		e.jointSolver, e.jointErr = e.newJointSolver(e.cfg.SolverOptions)
 	})
 	e.recordDictAccess(built)
 	return e.jointSolver, e.jointErr
 }
 
-// jointOptions appends the joint dictionary's Kronecker structure to opts, so
-// the solver iterates on the small delay and AoA factors (~18x fewer
-// multiplies per matvec at the paper's dimensions) and builds its ADMM system
-// from the factors' Grams. The result is a fresh slice — never
-// cfg.SolverOptions, which the AoA solver shares and whose dictionary has no
-// such factorization.
-func (e *Estimator) jointOptions(opts []sparse.Option) []sparse.Option {
-	return append(opts[:len(opts):len(opts)],
-		sparse.WithKronecker(
-			BuildDelayDictionary(e.cfg.OFDM, e.cfg.TauGrid),
-			BuildAoADictionary(e.cfg.Array, e.cfg.ThetaGrid)))
+// newJointSolver builds a solver on the joint dictionary's Kronecker factors,
+// so it iterates on the small delay and AoA factors (~18x fewer multiplies
+// per matvec at the paper's dimensions) and builds its ADMM system from the
+// factors' Grams.
+func (e *Estimator) newJointSolver(opts []sparse.Option) (*sparse.Solver, error) {
+	return sparse.NewKronSolver(
+		BuildDelayDictionary(e.cfg.OFDM, e.cfg.TauGrid),
+		BuildAoADictionary(e.cfg.Array, e.cfg.ThetaGrid),
+		opts...)
 }
 
 // recordDictAccess counts a dictionary/factorization access: a build the
@@ -385,6 +384,8 @@ func (e *Estimator) fallbackSolve(ctx context.Context, primary *sparse.Solver, f
 // ompSolve runs orthogonal matching pursuit on the strongest column of y
 // (after l1-SVD fusion that is the dominant singular direction) and expands
 // the support into a Result comparable with the convex solvers' RowMags.
+// OMP needs the atoms as columns, so this terminal stage is the one place the
+// dense dictionary is materialised from the solver's factors.
 func (e *Estimator) ompSolve(solver *sparse.Solver, y *cmat.Matrix) (*sparse.Result, error) {
 	best, bestN := 0, -1.0
 	for j := 0; j < y.Cols(); j++ {
@@ -421,21 +422,21 @@ func (e *Estimator) ompSolve(solver *sparse.Solver, y *cmat.Matrix) (*sparse.Res
 }
 
 // aoaFallback lazily builds the FISTA retry solver over the AoA dictionary.
-func (e *Estimator) aoaFallback(primary *sparse.Solver) func() (*sparse.Solver, error) {
+func (e *Estimator) aoaFallback() func() (*sparse.Solver, error) {
 	return func() (*sparse.Solver, error) {
 		e.aoaFBOnce.Do(func() {
-			e.aoaFB, e.aoaFBErr = sparse.NewSolver(primary.Dict(), e.fallbackOptions()...)
+			e.aoaFB, e.aoaFBErr = sparse.NewSolver(BuildAoADictionary(e.cfg.Array, e.cfg.ThetaGrid), e.fallbackOptions()...)
 		})
 		return e.aoaFB, e.aoaFBErr
 	}
 }
 
 // jointFallback lazily builds the FISTA retry solver over the joint
-// space-delay dictionary, with the same Kronecker structure as the primary.
-func (e *Estimator) jointFallback(primary *sparse.Solver) func() (*sparse.Solver, error) {
+// space-delay dictionary's factors, like the primary.
+func (e *Estimator) jointFallback() func() (*sparse.Solver, error) {
 	return func() (*sparse.Solver, error) {
 		e.jointFBOnce.Do(func() {
-			e.jointFB, e.jointFBErr = sparse.NewSolver(primary.Dict(), e.jointOptions(e.fallbackOptions())...)
+			e.jointFB, e.jointFBErr = e.newJointSolver(e.fallbackOptions())
 		})
 		return e.jointFB, e.jointFBErr
 	}
@@ -451,8 +452,7 @@ func (e *Estimator) fallbackOptions() []sparse.Option {
 
 // kappaFor selects the sparsity weight for a measurement block:
 // KappaRatio * max row norm of AᴴY, the standard scale-free choice. The
-// correlation runs through the solver so Kronecker-structured dictionaries
-// use their factored fast path.
+// correlation runs through the solver's factored matvec.
 func kappaFor(solver *sparse.Solver, y *cmat.Matrix, ratio float64) float64 {
 	g := solver.DictMulH(y)
 	mx := 0.0
@@ -498,7 +498,7 @@ func (e *Estimator) EstimateAoACtx(ctx context.Context, csi *wireless.CSI) (*spe
 		}
 	}
 	kappa := kappaFor(solver, y, e.cfg.KappaRatio)
-	res, _, err := e.timedSolve(ctx, solver, e.aoaFallback(solver), y, kappa)
+	res, _, err := e.timedSolve(ctx, solver, e.aoaFallback(), y, kappa)
 	if err != nil {
 		return nil, fmt.Errorf("core: AoA solve: %w", err)
 	}
@@ -586,7 +586,7 @@ func (e *Estimator) estimateJointBlock(ctx context.Context, packets []*wireless.
 		spf.End()
 	}
 	kappa := kappaFor(solver, y, e.cfg.KappaRatio)
-	res, stage, err := e.timedSolve(ctx, solver, e.jointFallback(solver), y, kappa)
+	res, stage, err := e.timedSolve(ctx, solver, e.jointFallback(), y, kappa)
 	if err != nil {
 		return nil, SolveInfo{}, fmt.Errorf("core: joint solve: %w", err)
 	}

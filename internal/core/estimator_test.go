@@ -2,10 +2,13 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 
+	"roarray/internal/cmat"
 	"roarray/internal/sparse"
 	"roarray/internal/spectra"
 	"roarray/internal/wireless"
@@ -84,6 +87,78 @@ func TestDictionaryShapes(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("joint dictionary ordering wrong at element %d", i)
 		}
+	}
+}
+
+// TestJointDictionaryIsKronecker: the joint solvers hold the Eq. 16
+// dictionary only as its factor pair, so the pair must tile
+// BuildJointDictionary — elementwise within 1e-9 relative — on the paper
+// (91x50), library (46x20) and smoke (19x8) grids and on seeded random grids
+// and radios.
+func TestJointDictionaryIsKronecker(t *testing.T) {
+	type grid struct {
+		name        string
+		arr         wireless.Array
+		ofdm        wireless.OFDM
+		theta, taus []float64
+	}
+	intel, smoke := wireless.Intel5300OFDM(), wireless.OFDM{NumSubcarriers: 8, SubcarrierSpacing: 4e6}
+	cases := []grid{
+		{"paper", wireless.Intel5300Array(), intel, spectra.UniformGrid(0, 180, 91), spectra.UniformGrid(0, intel.MaxToA(), 50)},
+		{"localize-lib", wireless.Intel5300Array(), intel, spectra.UniformGrid(0, 180, 46), spectra.UniformGrid(0, intel.MaxToA(), 20)},
+		{"smoke", wireless.Intel5300Array(), smoke, spectra.UniformGrid(0, 180, 19), spectra.UniformGrid(0, smoke.MaxToA(), 8)},
+	}
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 8; i++ {
+		wl := 0.05 + 0.08*rng.Float64()
+		arr := wireless.Array{NumAntennas: 2 + rng.Intn(7), Spacing: wl * (0.3 + 0.4*rng.Float64()), Wavelength: wl}
+		ofdm := wireless.OFDM{NumSubcarriers: 2 + rng.Intn(40), SubcarrierSpacing: 1e5 + 4e6*rng.Float64()}
+		theta := make([]float64, 1+rng.Intn(60))
+		for j := range theta {
+			theta[j] = 180 * rng.Float64()
+		}
+		taus := make([]float64, 1+rng.Intn(30))
+		for j := range taus {
+			taus[j] = ofdm.MaxToA() * rng.Float64()
+		}
+		cases = append(cases, grid{fmt.Sprintf("random%d", i), arr, ofdm, theta, taus})
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			want := BuildJointDictionary(tc.arr, tc.ofdm, tc.theta, tc.taus)
+			got := cmat.Kron(BuildDelayDictionary(tc.ofdm, tc.taus), BuildAoADictionary(tc.arr, tc.theta))
+			if got.Rows() != want.Rows() || got.Cols() != want.Cols() {
+				t.Fatalf("factor pair tiles %dx%d, joint dictionary is %dx%d", got.Rows(), got.Cols(), want.Rows(), want.Cols())
+			}
+			var worst float64
+			for r := 0; r < want.Rows(); r++ {
+				for c := 0; c < want.Cols(); c++ {
+					w := want.At(r, c)
+					worst = math.Max(worst, cmplx.Abs(got.At(r, c)-w)/cmplx.Abs(w))
+				}
+			}
+			t.Logf("worst relative deviation %.3g", worst)
+			if worst > 1e-9 {
+				t.Fatalf("factor pair deviates %.3g relative from the joint dictionary (bound 1e-9)", worst)
+			}
+		})
+	}
+}
+
+// TestFootprintExcludesDenseJointDictionary: the estimator holds only the
+// factor pairs and the Cholesky factors, so its accounted footprint at the
+// paper grid (91x50, 3x30 radio) must be far below the 90x4550 dense joint
+// dictionary it never builds.
+func TestFootprintExcludesDenseJointDictionary(t *testing.T) {
+	est, err := NewEstimator(Config{Array: wireless.Intel5300Array(), OFDM: wireless.Intel5300OFDM()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dense := int64(90*91*50) * 16
+	// AoA solver 2·3·91, joint pair 2·(30·50 + 3·91), Cholesky 3·3 + 90·90.
+	want := int64(2*3*91+2*(30*50+3*91)+3*3+90*90) * 16
+	if got := est.FootprintBytes(); got != want || got >= dense/10 {
+		t.Fatalf("FootprintBytes = %d, want %d (dense joint dictionary alone is %d)", got, want, dense)
 	}
 }
 

@@ -26,6 +26,11 @@ func (r Rect) Contains(p Point) bool {
 	return p.X >= r.MinX && p.X <= r.MaxX && p.Y >= r.MinY && p.Y <= r.MaxY
 }
 
+// clamp returns the point of r nearest to p.
+func (r Rect) clamp(p Point) Point {
+	return Point{X: math.Min(math.Max(p.X, r.MinX), r.MaxX), Y: math.Min(math.Max(p.Y, r.MinY), r.MaxY)}
+}
+
 // APObservation is the per-AP input to multi-AP localization: the AP's
 // geometry plus its estimated direct-path AoA and RSSI.
 type APObservation struct {

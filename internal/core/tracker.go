@@ -220,6 +220,14 @@ func (k *Tracker) PredictWindow(t, step float64) (Rect, bool) {
 // rejected with ErrTrackNonFinite and stale timestamps with ErrTrackTime;
 // both leave the state exactly as it was.
 func (k *Tracker) Update(t float64, fix Point) (TrackFix, error) {
+	return k.update(t, fix, nil)
+}
+
+// update is Update with an optional room: when room is non-nil the smoothed
+// position is clamped into it, because the alpha-beta extrapolation near a
+// wall can otherwise carry the track outside the area the fixes come from.
+// The velocity estimate is left as the filter computed it.
+func (k *Tracker) update(t float64, fix Point, room *Rect) (TrackFix, error) {
 	if math.IsNaN(t) || math.IsInf(t, 0) || !isFinitePoint(fix) {
 		return TrackFix{}, fmt.Errorf("%w: t=%v fix=(%v, %v)", ErrTrackNonFinite, t, fix.X, fix.Y)
 	}
@@ -228,9 +236,12 @@ func (k *Tracker) Update(t float64, fix Point) (TrackFix, error) {
 		st.Initialized = true
 		st.Updates = 1
 		st.Pos, st.LastT = fix, t
+		if room != nil {
+			st.Pos = room.clamp(fix)
+		}
 		st.Vel = Point{}
 		st.PVar = k.MeasStd * k.MeasStd
-		return TrackFix{Smoothed: fix, Predicted: fix}, nil
+		return TrackFix{Smoothed: st.Pos, Predicted: fix}, nil
 	}
 	dt := t - st.LastT
 	if dt <= 0 {
@@ -278,6 +289,9 @@ func (k *Tracker) Update(t float64, fix Point) (TrackFix, error) {
 		st.Pos = Point{X: pred.X + k.Alpha*innov.X, Y: pred.Y + k.Alpha*innov.Y}
 		st.Vel = clampSpeed(Point{X: st.Vel.X + k.Beta*innov.X/dt, Y: st.Vel.Y + k.Beta*innov.Y/dt}, k.MaxSpeed)
 		st.PVar = (1 - k.Alpha) * s
+	}
+	if room != nil {
+		st.Pos = room.clamp(st.Pos)
 	}
 	st.LastT = t
 	st.Updates++

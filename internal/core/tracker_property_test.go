@@ -287,3 +287,68 @@ func TestTrackerRestoreRejectsInvalid(t *testing.T) {
 		}
 	}
 }
+
+// roomWalk synthesizes a walk that reflects off the walls of room, with
+// fixes clamped to the room the way Eq. 19 grid fixes are (the grid is the
+// room). Walking into walls is what drives the alpha-beta extrapolation out
+// of the room.
+func roomWalk(rng *rand.Rand, room Rect, n int) []walkFix {
+	pos := Point{X: room.MinX + (room.MaxX-room.MinX)*rng.Float64(), Y: room.MinY + (room.MaxY-room.MinY)*rng.Float64()}
+	heading := rng.Float64() * 2 * math.Pi
+	t := 0.0
+	out := make([]walkFix, n)
+	for i := 0; i < n; i++ {
+		fix := Point{X: pos.X + rng.NormFloat64()*0.3, Y: pos.Y + rng.NormFloat64()*0.3}
+		out[i] = walkFix{t: t, fix: room.clamp(fix)}
+		dt := 0.5 + rng.Float64()
+		speed := 0.4 + rng.Float64()
+		heading += (rng.Float64() - 0.5) * math.Pi / 4 * dt
+		pos.X += speed * dt * math.Cos(heading)
+		pos.Y += speed * dt * math.Sin(heading)
+		if pos.X < room.MinX || pos.X > room.MaxX {
+			pos.X = math.Max(room.MinX, math.Min(room.MaxX, pos.X))
+			heading = math.Pi - heading
+		}
+		if pos.Y < room.MinY || pos.Y > room.MaxY {
+			pos.Y = math.Max(room.MinY, math.Min(room.MaxY, pos.Y))
+			heading = -heading
+		}
+		t += dt
+	}
+	return out
+}
+
+// The smoothed position the tracked pipeline reports must stay inside the
+// request's bounds on every epoch. The unbounded filter, fed the same
+// in-room fixes, leaves the room on some epochs — which is what keeps this
+// property from passing vacuously.
+func TestTrackerSmoothedStaysInBounds(t *testing.T) {
+	room := Rect{MinX: 0, MinY: 0, MaxX: 18, MaxY: 12}
+	escaped := 0
+	for seed := int64(0); seed < propertyTrajectories; seed++ {
+		rng := rand.New(rand.NewSource(4000 + seed))
+		fixes := roomWalk(rng, room, 80)
+		bounded, _ := NewTracker(0, 0, 0)
+		free, _ := NewTracker(0, 0, 0)
+		for i, f := range fixes {
+			got, err := bounded.update(f.t, f.fix, &room)
+			if err != nil {
+				t.Fatalf("seed %d fix %d: %v", seed, i, err)
+			}
+			if !room.Contains(got.Smoothed) || !room.Contains(bounded.Position()) {
+				t.Fatalf("seed %d fix %d: smoothed %+v outside %+v", seed, i, got.Smoothed, room)
+			}
+			ref, err := free.Update(f.t, f.fix)
+			if err != nil {
+				t.Fatalf("seed %d fix %d: %v", seed, i, err)
+			}
+			if !room.Contains(ref.Smoothed) {
+				escaped++
+			}
+		}
+	}
+	t.Logf("unbounded filter left the room on %d of %d epochs", escaped, propertyTrajectories*80)
+	if escaped == 0 {
+		t.Fatal("no unbounded epoch left the room: the walks never test the clamp")
+	}
+}

@@ -9,7 +9,9 @@ import (
 	"roarray/internal/wireless"
 )
 
-// Bounds of the dense-vs-factored cross-check, stated in DESIGN.md §13.
+// Bounds of the dense-vs-factored cross-check, stated in DESIGN.md §13. The
+// dense reference is the joint dictionary as a plain matrix (NewSolver, the
+// trivial pair [1]⊗A); the factored solver is NewKronSolver(G, S).
 const (
 	// solveExactBound caps max_i |dense_i - kron_i| / max_i dense_i over the
 	// row magnitudes (the spectrum) of the two ADMM solves.
@@ -18,6 +20,9 @@ const (
 	// (GGᴴ)⊗(SSᴴ) and scale ||G||_F^2 ||S||_F^2 from the dense AAᴴ and
 	// ||A||_F^2.
 	gramExactBound = 1e-12
+	// lipExactBound caps the relative deviation of the factored FISTA
+	// Lipschitz constant from the dense power iteration's ||A||_2^2.
+	lipExactBound = 1e-12
 )
 
 // jointFactors builds the joint space-delay dictionary exactly as core does
@@ -51,9 +56,9 @@ func jointFactors(arr wireless.Array, ofdm wireless.OFDM, thetaPts, tauPts int) 
 
 // TestSolveExactKronecker is the solver-level twin of core's SearchExact: on
 // the joint dictionaries the library and the smoke server actually solve
-// against, ADMM with the declared Kronecker factors must reproduce the dense
-// solve's spectrum within solveExactBound, and the factored Gram and rho must
-// match the dense ones within gramExactBound.
+// against, ADMM on the Kronecker factors must reproduce the dense solve's
+// spectrum within solveExactBound, and the factored Gram and rho must match
+// the dense ones within gramExactBound.
 func TestSolveExactKronecker(t *testing.T) {
 	cases := []struct {
 		name             string
@@ -69,8 +74,8 @@ func TestSolveExactKronecker(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			g, s, a := jointFactors(arr, tc.ofdm, tc.thetaPts, tc.tauPts)
 
-			denseG, denseF2 := gram(a, nil, nil)
-			kronG, kronF2 := gram(a, g, s)
+			denseG, denseF2 := cmat.Mul(a, a.H()), a.FrobNorm()*a.FrobNorm()
+			kronG, kronF2 := gram(g, s)
 			if d := cmat.Sub(kronG, denseG).MaxAbs() / denseG.MaxAbs(); d > gramExactBound {
 				t.Fatalf("factored Gram deviates %.3g relative from dense AAᴴ (bound %g)", d, gramExactBound)
 			}
@@ -82,7 +87,7 @@ func TestSolveExactKronecker(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			kron, err := NewSolver(a, WithMaxIters(tc.iters), WithKronecker(g, s))
+			kron, err := NewKronSolver(g, s, WithMaxIters(tc.iters))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,6 +117,47 @@ func TestSolveExactKronecker(t *testing.T) {
 			t.Logf("spectrum deviation %.3g of the peak, %d iterations", rel, rd.Iterations)
 			if rel > solveExactBound {
 				t.Fatalf("factored spectrum deviates %.3g of the peak from dense (bound %g)", rel, solveExactBound)
+			}
+		})
+	}
+}
+
+// TestLipschitzExactKronecker: the FISTA step size comes from a power
+// iteration through the factored matvecs. On the paper (91 x 50), library (46 x 20) and
+// smoke (19 x 8) joint dictionaries it must match the dense power iteration
+// on A within lipExactBound, and on a plain dictionary (the trivial pair)
+// exactly.
+func TestLipschitzExactKronecker(t *testing.T) {
+	arr := wireless.Intel5300Array()
+	cases := []struct {
+		name             string
+		ofdm             wireless.OFDM
+		thetaPts, tauPts int
+	}{
+		{"paper", wireless.Intel5300OFDM(), 91, 50},
+		{"localize-lib", wireless.Intel5300OFDM(), 46, 20},
+		{"smoke", wireless.OFDM{NumSubcarriers: 8, SubcarrierSpacing: 4e6}, 19, 8},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g, s, a := jointFactors(arr, tc.ofdm, tc.thetaPts, tc.tauPts)
+			sigma := cmat.PowerIterationLargestSingular(a, 60)
+			dense := sigma * sigma
+			kron, err := NewKronSolver(g, s, WithMethod(MethodFISTA))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rel := math.Abs(kron.lip-dense) / dense
+			t.Logf("factored Lipschitz constant deviates %.3g relative", rel)
+			if rel > lipExactBound {
+				t.Fatalf("factored Lipschitz %v deviates %.3g relative from dense %v (bound %g)", kron.lip, rel, dense, lipExactBound)
+			}
+			plain, err := NewSolver(a, WithMethod(MethodFISTA))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plain.lip != dense {
+				t.Fatalf("trivial-pair Lipschitz %v != dense power iteration %v", plain.lip, dense)
 			}
 		})
 	}

@@ -2,123 +2,15 @@ package sparse
 
 import (
 	"math"
-	"math/cmplx"
 
 	"roarray/internal/cmat"
 )
 
-// This file holds the allocation-free iteration kernels behind the solver
-// loops. Each "exact" kernel reproduces the operation sequence of the cmat
-// primitive it replaces — per output element the same floating-point
-// operations in the same order — so swapping it into a solve changes no bits
-// (TestKernelsBitIdentical pins this). The win is purely constant-factor:
-// the dictionary is traversed once for all snapshot columns, and every
-// per-iteration allocation of the old loops is hoisted into reusable
-// buffers.
-
-// mulBatchInto computes out = a * v for v with k columns, traversing a once.
-// Per column the accumulation order is exactly (*cmat.Matrix).MulVec: sum
-// over the dictionary columns in ascending order.
-func mulBatchInto(a, v, out *cmat.Matrix) {
-	m, n, k := a.Rows(), a.Cols(), v.Cols()
-	if v.Rows() != n || out.Rows() != m || out.Cols() != k {
-		panic("sparse: mulBatchInto shape mismatch")
-	}
-	for i := 0; i < m; i++ {
-		arow := a.RowView(i)
-		orow := out.RowView(i)
-		for c := range orow {
-			orow[c] = 0
-		}
-		for j, x := range arow {
-			vrow := v.RowView(j)
-			for c, vv := range vrow {
-				orow[c] += x * vv
-			}
-		}
-	}
-}
-
-// mulHBatchInto computes out = aᴴ * w for w with k columns, traversing a
-// once. Per column the accumulation order and the zero-element skip are
-// exactly (*cmat.Matrix).MulVecH.
-func mulHBatchInto(a, w, out *cmat.Matrix) {
-	m, n, k := a.Rows(), a.Cols(), w.Cols()
-	if w.Rows() != m || out.Rows() != n || out.Cols() != k {
-		panic("sparse: mulHBatchInto shape mismatch")
-	}
-	for j := 0; j < n; j++ {
-		orow := out.RowView(j)
-		for c := range orow {
-			orow[c] = 0
-		}
-	}
-	for i := 0; i < m; i++ {
-		arow := a.RowView(i)
-		wrow := w.RowView(i)
-		for j, x := range arow {
-			c := cmplx.Conj(x)
-			orow := out.RowView(j)
-			for cc, wv := range wrow {
-				if wv == 0 {
-					continue
-				}
-				orow[cc] += c * wv
-			}
-		}
-	}
-}
-
-// mulInto computes out = a * b with the exact loop of cmat.Mul (ikj order,
-// zero-element skip on a), writing into a preallocated out.
-func mulInto(a, b, out *cmat.Matrix) {
-	if a.Cols() != b.Rows() || out.Rows() != a.Rows() || out.Cols() != b.Cols() {
-		panic("sparse: mulInto shape mismatch")
-	}
-	for i := 0; i < a.Rows(); i++ {
-		arow := a.RowView(i)
-		orow := out.RowView(i)
-		for c := range orow {
-			orow[c] = 0
-		}
-		for kk, aik := range arow {
-			if aik == 0 {
-				continue
-			}
-			brow := b.RowView(kk)
-			for j, bv := range brow {
-				orow[j] += aik * bv
-			}
-		}
-	}
-}
-
-// mulHInto computes out = aᴴ * b with the exact loop of cmat.MulH.
-func mulHInto(a, b, out *cmat.Matrix) {
-	if a.Rows() != b.Rows() || out.Rows() != a.Cols() || out.Cols() != b.Cols() {
-		panic("sparse: mulHInto shape mismatch")
-	}
-	for j := 0; j < out.Rows(); j++ {
-		orow := out.RowView(j)
-		for c := range orow {
-			orow[c] = 0
-		}
-	}
-	for kk := 0; kk < a.Rows(); kk++ {
-		arow := a.RowView(kk)
-		brow := b.RowView(kk)
-		for i, av := range arow {
-			c := cmplx.Conj(av)
-			if c == 0 {
-				continue
-			}
-			orow := out.RowView(i)
-			for j, bv := range brow {
-				orow[j] += c * bv
-			}
-		}
-	}
-}
+// This file holds the allocation-free elementwise kernels behind the solver
+// loops. Each reproduces the operation sequence of the cmat primitive it
+// replaces, so using it changes no bits (TestKernelsBitIdentical pins this);
+// the win is that the loops reuse buffers instead of allocating per
+// iteration.
 
 // subInto computes out = a - b elementwise.
 func subInto(a, b, out *cmat.Matrix) {

@@ -40,45 +40,51 @@ func requireBitEqual(t *testing.T, name string, got, want *cmat.Matrix) {
 	}
 }
 
-// TestKernelsBitIdentical pins the contract of kernels.go: each fused batched
-// kernel reproduces, bit for bit, the cmat primitive the solver loops used to
-// call — so switching the loops onto the kernels changes no solver output.
+// TestKernelsBitIdentical pins the bit contract of the solver's iteration
+// kernels. A plain dictionary is the Kronecker pair [1]⊗a, and its factored
+// products must equal the dense cmat products exactly (==) on matrices with
+// exact zeros — this keeps solves on plain dictionaries (the AoA solver, the
+// dense references in tests) on exactly the dense products' arithmetic.
+// The allocation-free elementwise kernels of kernels.go reproduce their cmat
+// primitives the same way.
 func TestKernelsBitIdentical(t *testing.T) {
 	const m, n, k = 17, 29, 3
 	a := kernelMat(m, n, 1)
 	v := kernelMat(n, k, 2)
 	wm := kernelMat(m, k, 3)
+	pair := newKronOps(unitFactor, a)
+	scratch := make([]complex128, pair.scratchLen())
 
-	t.Run("mulBatchInto_vs_MulVec", func(t *testing.T) {
+	t.Run("mulInto_vs_Mul", func(t *testing.T) {
 		got := cmat.New(m, k)
-		mulBatchInto(a, v, got)
+		pair.mulInto(v, got, scratch)
+		requireBitEqual(t, "mulInto", got, cmat.Mul(a, v))
+	})
+
+	t.Run("mulInto_vs_MulVec", func(t *testing.T) {
+		got := cmat.New(m, k)
+		pair.mulInto(v, got, scratch)
 		want := cmat.New(m, k)
 		for j := 0; j < k; j++ {
 			want.SetCol(j, a.MulVec(v.Col(j)))
 		}
-		requireBitEqual(t, "mulBatchInto", got, want)
-	})
-
-	t.Run("mulHBatchInto_vs_MulVecH", func(t *testing.T) {
-		got := cmat.New(n, k)
-		mulHBatchInto(a, wm, got)
-		want := cmat.New(n, k)
-		for j := 0; j < k; j++ {
-			want.SetCol(j, a.MulVecH(wm.Col(j)))
-		}
-		requireBitEqual(t, "mulHBatchInto", got, want)
-	})
-
-	t.Run("mulInto_vs_Mul", func(t *testing.T) {
-		got := cmat.New(m, k)
-		mulInto(a, v, got)
-		requireBitEqual(t, "mulInto", got, cmat.Mul(a, v))
+		requireBitEqual(t, "mulInto", got, want)
 	})
 
 	t.Run("mulHInto_vs_MulH", func(t *testing.T) {
 		got := cmat.New(n, k)
-		mulHInto(a, wm, got)
+		pair.mulHInto(wm, got, scratch)
 		requireBitEqual(t, "mulHInto", got, cmat.MulH(a, wm))
+	})
+
+	t.Run("mulHInto_vs_MulVecH", func(t *testing.T) {
+		got := cmat.New(n, k)
+		pair.mulHInto(wm, got, scratch)
+		want := cmat.New(n, k)
+		for j := 0; j < k; j++ {
+			want.SetCol(j, a.MulVecH(wm.Col(j)))
+		}
+		requireBitEqual(t, "mulHInto", got, want)
 	})
 
 	t.Run("subInto_vs_Sub", func(t *testing.T) {
@@ -147,7 +153,7 @@ func kronFactors(ll, tt, mm, cc int) (g, s, dense *cmat.Matrix) {
 	return g, s, dense
 }
 
-// TestKronOpsMatchDense checks the factored matvecs against the dense kernels
+// TestKronOpsMatchDense checks the factored matvecs against the dense products
 // within floating-point tolerance (they associate sums differently, so exact
 // equality is not expected).
 func TestKronOpsMatchDense(t *testing.T) {
@@ -171,29 +177,36 @@ func TestKronOpsMatchDense(t *testing.T) {
 	}
 }
 
-// TestWithKroneckerValidation checks that NewSolver accepts true factors and
-// rejects wrong or mis-shaped ones.
-func TestWithKroneckerValidation(t *testing.T) {
+// TestNewKronSolverValidation checks that NewKronSolver refuses a missing
+// factor and an all-zero dictionary, and that the solver's shape is the
+// Kronecker product's.
+func TestNewKronSolverValidation(t *testing.T) {
 	g, s, dense := kronFactors(6, 5, 3, 7)
 
-	if _, err := NewSolver(dense, WithKronecker(g, s)); err != nil {
-		t.Fatalf("true factors rejected: %v", err)
-	}
-	if _, err := NewSolver(dense, WithKronecker(g, nil)); err == nil {
+	if _, err := NewKronSolver(g, nil); err == nil {
 		t.Fatal("missing column factor accepted")
 	}
-	if _, err := NewSolver(dense, WithKronecker(s, g)); err == nil {
-		t.Fatal("mis-shaped factors accepted")
+	if _, err := NewKronSolver(nil, s); err == nil {
+		t.Fatal("missing row factor accepted")
 	}
-	bad := g.Clone()
-	bad.Set(1, 1, bad.At(1, 1)*complex(1.001, 0))
-	if _, err := NewSolver(dense, WithKronecker(bad, s)); err == nil {
-		t.Fatal("perturbed factor accepted")
+	for _, method := range []Method{MethodADMM, MethodFISTA} {
+		if _, err := NewKronSolver(cmat.New(6, 5), s, WithMethod(method)); err == nil {
+			t.Fatalf("%v: zero dictionary accepted", method)
+		}
 	}
+	sv, err := NewKronSolver(g, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sv.Solve(make([]complex128, dense.Rows()-1), 0.1); err == nil {
+		t.Fatal("measurement of the wrong length accepted")
+	}
+	requireBitEqual(t, "Dict", sv.Dict(), cmat.Kron(g, s))
 }
 
 // TestKronSolverMatchesDense runs the same group-LASSO problem through a
-// plain solver and a Kronecker-enabled one and requires matching spectra:
+// solver on the dense product and one on its factors and requires matching
+// spectra:
 // same argmax atom and row magnitudes agreeing to well below peak-detection
 // resolution.
 func TestKronSolverMatchesDense(t *testing.T) {
@@ -210,7 +223,7 @@ func TestKronSolverMatchesDense(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		kron, err := NewSolver(dense, WithMethod(method), WithMaxIters(150), WithKronecker(g, s))
+		kron, err := NewKronSolver(g, s, WithMethod(method), WithMaxIters(150))
 		if err != nil {
 			t.Fatal(err)
 		}

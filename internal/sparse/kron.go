@@ -1,28 +1,29 @@
 package sparse
 
 import (
-	"fmt"
 	"math/cmplx"
 
 	"roarray/internal/cmat"
 )
 
-// kronOps applies a dictionary with Kronecker structure without ever
-// touching the dense matrix: when A[(l*M+m), (t*C+i)] = G[l][t] * S[m][i]
-// for a row factor G (L x T) and a column factor S (M x C) — exactly the
-// shape of the joint space-delay steering dictionary, whose atoms are
-// products of a delay response and an array response — a matvec factors into
-// two small contractions. For the paper's dimensions (90 x 920 from factors
-// 30 x 20 and 3 x 46) that is ~18x fewer multiplies per iteration than the
-// dense product. The factored results agree with the dense kernels to
-// rounding, not bitwise (the products associate differently); core declares
-// the structure (WithKronecker) on every joint solver.
+// kronOps applies a dictionary A = G⊗S without ever touching the dense
+// matrix: A[(l*M+m), (t*C+i)] = G[l][t] * S[m][i] for a row factor G (L x T)
+// and a column factor S (M x C) — exactly the shape of the joint space-delay
+// steering dictionary, whose atoms are products of a delay response and an
+// array response — so a matvec factors into two small contractions. For the
+// paper's dimensions (90 x 920 from factors 30 x 20 and 3 x 46) that is ~18x
+// fewer multiplies per iteration than the dense product.
+//
+// A plain dictionary a is the trivial pair [1]⊗a. The contractions then
+// reduce to the dense products in cmat's accumulation order — per output
+// element the same terms summed in ascending order, times the exact unit —
+// so they equal cmat.Mul and cmat.MulH (TestKernelsBitIdentical).
 type kronOps struct {
 	ll, tt int // row factor shape (L x T)
 	mm, cc int // column factor shape (M x C)
-	// Flat row-major factor data plus precomputed conjugates, so the
+	// Private copies of the factors plus precomputed conjugates, so the
 	// per-iteration contractions run on raw slices.
-	g, s         []complex128
+	g, s         *cmat.Matrix
 	gConj, sConj []complex128
 }
 
@@ -30,19 +31,24 @@ func newKronOps(g, s *cmat.Matrix) *kronOps {
 	k := &kronOps{
 		ll: g.Rows(), tt: g.Cols(),
 		mm: s.Rows(), cc: s.Cols(),
+		g: g.Clone(), s: s.Clone(),
 	}
-	k.g = append([]complex128(nil), g.Data()...)
-	k.s = append([]complex128(nil), s.Data()...)
-	k.gConj = make([]complex128, len(k.g))
-	for i, v := range k.g {
-		k.gConj[i] = cmplx.Conj(v)
-	}
-	k.sConj = make([]complex128, len(k.s))
-	for i, v := range k.s {
-		k.sConj[i] = cmplx.Conj(v)
-	}
+	k.gConj = conjData(k.g)
+	k.sConj = conjData(k.s)
 	return k
 }
+
+func conjData(m *cmat.Matrix) []complex128 {
+	out := make([]complex128, len(m.Data()))
+	for i, v := range m.Data() {
+		out[i] = cmplx.Conj(v)
+	}
+	return out
+}
+
+// rows and cols are the shape of the dictionary G⊗S.
+func (k *kronOps) rows() int { return k.ll * k.mm }
+func (k *kronOps) cols() int { return k.tt * k.cc }
 
 // scratchLen is the intermediate buffer length mulInto/mulHInto need.
 func (k *kronOps) scratchLen() int { return k.mm * k.tt }
@@ -52,11 +58,12 @@ func (k *kronOps) scratchLen() int { return k.mm * k.tt }
 func (k *kronOps) mulInto(v, out *cmat.Matrix, scratch []complex128) {
 	nc := v.Cols()
 	vd, od := v.Data(), out.Data()
+	gd, sd := k.g.Data(), k.s.Data()
 	for c := 0; c < nc; c++ {
 		for t := 0; t < k.tt; t++ {
 			base := t*k.cc*nc + c
 			for m := 0; m < k.mm; m++ {
-				srow := k.s[m*k.cc : (m+1)*k.cc]
+				srow := sd[m*k.cc : (m+1)*k.cc]
 				var acc complex128
 				idx := base
 				for _, sv := range srow {
@@ -67,7 +74,7 @@ func (k *kronOps) mulInto(v, out *cmat.Matrix, scratch []complex128) {
 			}
 		}
 		for l := 0; l < k.ll; l++ {
-			grow := k.g[l*k.tt : (l+1)*k.tt]
+			grow := gd[l*k.tt : (l+1)*k.tt]
 			obase := l*k.mm*nc + c
 			for m := 0; m < k.mm; m++ {
 				prow := scratch[m*k.tt : (m+1)*k.tt]
@@ -117,31 +124,18 @@ func (k *kronOps) mulHInto(w, out *cmat.Matrix, scratch []complex128) {
 	}
 }
 
-// validateKron checks that the dense dictionary a really is the Kronecker
-// product of the declared factors, elementwise within tol. The full check is
-// one pass over a (construction-time only).
-func validateKron(a, g, s *cmat.Matrix, tol float64) error {
-	mm, cc := s.Rows(), s.Cols()
-	ll, tt := g.Rows(), g.Cols()
-	if a.Rows() != ll*mm || a.Cols() != tt*cc {
-		return fmt.Errorf("sparse: Kronecker factors (%dx%d)x(%dx%d) do not tile the %dx%d dictionary",
-			ll, tt, mm, cc, a.Rows(), a.Cols())
-	}
-	for l := 0; l < ll; l++ {
-		for m := 0; m < mm; m++ {
-			arow := a.RowView(l*mm + m)
-			grow := g.RowView(l)
-			srow := s.RowView(m)
-			for t := 0; t < tt; t++ {
-				for i := 0; i < cc; i++ {
-					want := grow[t] * srow[i]
-					if d := cmplx.Abs(arow[t*cc+i] - want); d > tol*(1+cmplx.Abs(want)) {
-						return fmt.Errorf("sparse: dictionary entry (%d,%d) deviates from Kronecker factors by %.3g",
-							l*mm+m, t*cc+i, d)
-					}
-				}
-			}
-		}
-	}
-	return nil
+// largestSingular returns ||A||_2 by cmat's power iteration on AᴴA, run
+// through the factored matvecs. On the trivial pair it is
+// cmat.PowerIterationLargestSingular's result bit for bit; on a factor pair
+// it is the same iteration on the dense product, to rounding
+// (TestLipschitzExactKronecker).
+func (k *kronOps) largestSingular(iters int) float64 {
+	v, av, w := cmat.New(k.cols(), 1), cmat.New(k.rows(), 1), cmat.New(k.cols(), 1)
+	scratch := make([]complex128, k.scratchLen())
+	return cmat.PowerIterationGram(k.cols(), iters, func(x []complex128) []complex128 {
+		copy(v.Data(), x)
+		k.mulInto(v, av, scratch)
+		k.mulHInto(av, w, scratch)
+		return w.Data()
+	})
 }

@@ -1,8 +1,10 @@
 // Package sparse implements the sparse-recovery machinery that ROArray uses
 // in place of a generic SOCP solver: complex-valued LASSO solved by ADMM
-// (with the m << n Woodbury factorization trick), FISTA/ISTA proximal
-// gradient methods, orthogonal matching pursuit, and the group-sparse
-// (l2,1-norm) variants required by l1-SVD multi-snapshot fusion.
+// (with the m << n Woodbury factorization trick), the FISTA proximal
+// gradient method, orthogonal matching pursuit, and the group-sparse
+// (l2,1-norm) variants required by l1-SVD multi-snapshot fusion. Solvers
+// hold a dictionary only as a Kronecker factor pair G⊗S (a plain dictionary
+// is [1]⊗a), so the joint space-delay dictionary is never formed densely.
 //
 // All solvers minimize the paper's Eq. 11/18 objective
 //
@@ -18,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 
-	"roarray/internal/cmat"
 	"roarray/internal/obs"
 )
 
@@ -29,7 +30,6 @@ type Method int
 const (
 	MethodADMM Method = iota + 1
 	MethodFISTA
-	MethodISTA
 )
 
 // String implements fmt.Stringer.
@@ -39,8 +39,6 @@ func (m Method) String() string {
 		return "admm"
 	case MethodFISTA:
 		return "fista"
-	case MethodISTA:
-		return "ista"
 	default:
 		return fmt.Sprintf("method(%d)", int(m))
 	}
@@ -63,8 +61,6 @@ type options struct {
 	rho      float64
 	hook     IterationHook
 	metrics  *obs.Registry
-	kronRow  *cmat.Matrix
-	kronCol  *cmat.Matrix
 }
 
 func defaultOptions() options {
@@ -101,23 +97,6 @@ func WithRho(rho float64) Option { return func(o *options) { o.rho = rho } }
 // AoA spectrum as it sharpens across iterations (paper Fig. 3).
 func WithIterationHook(h IterationHook) Option { return func(o *options) { o.hook = h } }
 
-// WithKronecker declares that the dictionary has Kronecker (separable)
-// structure: entry ((l*M+m), (t*C+i)) equals rowFactor[l][t] * colFactor[m][i]
-// for a rowFactor of shape L x T and a colFactor of shape M x C. The joint
-// space-delay steering dictionary has exactly this form — each atom is the
-// outer product of a delay response over subcarriers and an array response
-// over antennas — and declaring it lets every matvec inside the iteration
-// loops run on the small factors instead of the dense L*M x T*C matrix
-// (~18x fewer multiplies at the paper's dimensions), and builds the ADMM
-// system rho I + AAᴴ as (GGᴴ)⊗(SSᴴ) without ever forming the dense Gram.
-// NewSolver verifies the factorization against the dense dictionary and fails
-// construction on mismatch. The factored products agree with the dense
-// kernels to rounding, not bitwise (sums associate differently);
-// TestSolveExactKronecker bounds the spectrum deviation (DESIGN.md §13).
-func WithKronecker(rowFactor, colFactor *cmat.Matrix) Option {
-	return func(o *options) { o.kronRow, o.kronCol = rowFactor, colFactor }
-}
-
 // WithMetrics records solver telemetry into reg: a "sparse.solve.total"
 // counter, a "sparse.solve.iterations" histogram, and a
 // "sparse.solve.nonconverged_total" counter incremented whenever a solve
@@ -129,7 +108,7 @@ func WithMetrics(reg *obs.Registry) Option { return func(o *options) { o.metrics
 // Result reports the outcome of a sparse solve.
 type Result struct {
 	// Solver names the algorithm that produced this result ("admm",
-	// "fista", "ista"), so telemetry consumers don't have to thread the
+	// "fista", or "omp" from core's fallback chain), so telemetry consumers don't have to thread the
 	// configured Method alongside every result.
 	Solver string
 	// X holds the recovered coefficients, one column per snapshot

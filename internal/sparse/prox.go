@@ -16,13 +16,6 @@ func SoftThreshold(v complex128, t float64) complex128 {
 	return v * complex(1-t/a, 0)
 }
 
-// softThresholdVec applies SoftThreshold elementwise, writing into dst.
-func softThresholdVec(dst, v []complex128, t float64) {
-	for i, x := range v {
-		dst[i] = SoftThreshold(x, t)
-	}
-}
-
 // GroupSoftThreshold shrinks a coefficient row (one atom across all
 // snapshots) by t in its l2 norm, the proximal map of the l2,1 mixed norm
 // used by l1-SVD fusion. It writes the result into dst, which may alias row.

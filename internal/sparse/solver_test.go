@@ -152,22 +152,6 @@ func TestFISTARecoversSupport(t *testing.T) {
 	}
 }
 
-func TestISTARecoversSupport(t *testing.T) {
-	rng := rand.New(rand.NewSource(102))
-	a, _, y, support := makeSparseProblem(rng, 30, 90, 3, 0.005)
-	s, err := NewSolver(a, WithMethod(MethodISTA), WithMaxIters(8000), WithTolerance(1e-10, 1e-9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Solve(y, 0.03)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := topIndices(res.RowMags, 3); !sameInts(got, support) {
-		t.Fatalf("ISTA support %v, want %v", got, support)
-	}
-}
-
 // ADMM and FISTA minimize the same convex objective, so their optima must
 // agree closely.
 func TestADMMAndFISTAAgree(t *testing.T) {
@@ -369,7 +353,7 @@ func TestSolverValidation(t *testing.T) {
 }
 
 func TestMethodString(t *testing.T) {
-	if MethodADMM.String() != "admm" || MethodFISTA.String() != "fista" || MethodISTA.String() != "ista" {
+	if MethodADMM.String() != "admm" || MethodFISTA.String() != "fista" {
 		t.Fatal("method names wrong")
 	}
 	if Method(42).String() == "" {

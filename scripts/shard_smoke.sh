@@ -10,15 +10,15 @@
 #   DURATION    load duration                         (default 3s)
 #   RATE        swarm open-loop arrival rate          (default 40)
 #   SHARDS      dispatcher lanes                      (default 2)
-#   BUDGET_KB   venue cache budget; the default fits two smoke venues, so a
-#               third forces an eviction               (default 140)
+#   BUDGET_KB   venue cache budget; the default fits two smoke venues
+#               (14.7 KiB each), so a third forces an eviction (default 36)
 set -eu
 
 OUT="${OUT:-}"
 DURATION="${DURATION:-3s}"
 RATE="${RATE:-40}"
 SHARDS="${SHARDS:-2}"
-BUDGET_KB="${BUDGET_KB:-140}"
+BUDGET_KB="${BUDGET_KB:-36}"
 
 TMP=$(mktemp -d)
 SERVE_PID=""
